@@ -54,8 +54,13 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes) {
   RETURN_IF_ERROR(GetU32(bytes, &offset, &state.active_epoch));
   ASSIGN_OR_RETURN(state.tree, SnapshotTree::Deserialize(bytes, &offset));
 
+  // Counts are untrusted: bound each by the bytes its entries would occupy before
+  // reserving (16 per map entry, 8 per paddr).
   uint64_t map_count = 0;
   RETURN_IF_ERROR(GetU64(bytes, &offset, &map_count));
+  if (map_count > (bytes.size() - offset) / 16) {
+    return DataLoss("checkpoint: map count exceeds checkpoint size");
+  }
   state.primary_map.reserve(map_count);
   for (uint64_t i = 0; i < map_count; ++i) {
     uint64_t lba = 0;
@@ -72,6 +77,9 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes) {
     uint64_t count = 0;
     RETURN_IF_ERROR(GetU32(bytes, &offset, &epoch));
     RETURN_IF_ERROR(GetU64(bytes, &offset, &count));
+    if (count > (bytes.size() - offset) / 8) {
+      return DataLoss("checkpoint: validity count exceeds checkpoint size");
+    }
     std::vector<uint64_t> paddrs;
     paddrs.reserve(count);
     for (uint64_t j = 0; j < count; ++j) {

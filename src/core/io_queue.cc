@@ -1,6 +1,7 @@
 #include "src/core/io_queue.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
@@ -99,10 +100,23 @@ void IoQueueLayer::FailOp(const PendingOp& op, const Status& status) {
   c.status = status;
   c.result.op.issue_ns = op.issue_ns;
   c.result.op.finish_ns = op.issue_ns;
-  completed_.push_back(std::move(c));
+  PushCompletion(std::move(c));
 }
 
-void IoQueueLayer::CommitRun(size_t begin, size_t len) {
+void IoQueueLayer::PushCompletion(IoCompletion&& c) {
+  size_t slot = completed_.size();
+  if (free_slots_.empty()) {
+    completed_.push_back(std::move(c));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    completed_[slot] = std::move(c);
+  }
+  due_.push_back({completed_[slot].CompletionNs(), completed_[slot].op_id, slot});
+  std::push_heap(due_.begin(), due_.end(), std::greater<>());
+}
+
+Status IoQueueLayer::CommitRun(size_t begin, size_t len) {
   const QueueOpKind kind = pending_[begin].kind;
   std::vector<uint64_t> issue_at(len);
   for (size_t i = 0; i < len; ++i) {
@@ -161,7 +175,7 @@ void IoQueueLayer::CommitRun(size_t begin, size_t len) {
     for (size_t i = 0; i < len; ++i) {
       FailOp(pending_[begin + i], run_status);
     }
-    return;
+    return run_status;
   }
   IOSNAP_CHECK(results.size() == len);
   for (size_t i = 0; i < len; ++i) {
@@ -177,8 +191,9 @@ void IoQueueLayer::CommitRun(size_t begin, size_t len) {
     if (kind == QueueOpKind::kRead && !read_data.empty()) {
       c.data = std::move(read_data[i]);
     }
-    completed_.push_back(std::move(c));
+    PushCompletion(std::move(c));
   }
+  return OkStatus();
 }
 
 void IoQueueLayer::Flush() {
@@ -199,10 +214,7 @@ void IoQueueLayer::Flush() {
       ++end;
     }
     ++runs;
-    CommitRun(begin, end - begin);
-    // CommitRun appended failed completions if the run errored; detect via the last
-    // completion's status.
-    if (!completed_.empty() && !completed_.back().status.ok()) {
+    if (!CommitRun(begin, end - begin).ok()) {
       for (size_t i = end; i < pending_.size(); ++i) {
         FailOp(pending_[i],
                Unavailable("io_queue: aborted after earlier run failed"));
@@ -221,16 +233,22 @@ void IoQueueLayer::Flush() {
   pending_.clear();
 }
 
+const IoQueueLayer::DueKey* IoQueueLayer::Earliest() {
+  if (due_.empty()) {
+    return nullptr;
+  }
+  ++stats_.completions_examined;
+  ++GlobalIoQueueStats().completions_examined;
+  return &due_.front();
+}
+
 std::optional<uint64_t> IoQueueLayer::NextCompletionNs() {
   Flush();
-  std::optional<uint64_t> next;
-  for (const IoCompletion& c : completed_) {
-    const uint64_t t = c.CompletionNs();
-    if (!next.has_value() || t < *next) {
-      next = t;
-    }
+  const DueKey* earliest = Earliest();
+  if (earliest == nullptr) {
+    return std::nullopt;
   }
-  return next;
+  return earliest->completion_ns;
 }
 
 void IoQueueLayer::DeliverOne(IoCompletion&& c, std::vector<IoCompletion>* out) {
@@ -261,35 +279,19 @@ void IoQueueLayer::DeliverOne(IoCompletion&& c, std::vector<IoCompletion>* out) 
     trace->Record(TraceEventType::kQueueComplete, c.result.op.issue_ns,
                   c.CompletionNs(), c.queue, c.op_id, c.lba);
   }
-  if (callback_) {
-    callback_(c);
-  }
   out->push_back(std::move(c));
 }
 
 std::vector<IoCompletion> IoQueueLayer::PollCompletions(uint64_t now_ns) {
   Flush();
-  std::vector<IoCompletion> due;
-  std::vector<IoCompletion> rest;
-  rest.reserve(completed_.size());
-  for (IoCompletion& c : completed_) {
-    if (c.CompletionNs() <= now_ns) {
-      due.push_back(std::move(c));
-    } else {
-      rest.push_back(std::move(c));
-    }
-  }
-  completed_ = std::move(rest);
-  std::stable_sort(due.begin(), due.end(),
-                   [](const IoCompletion& a, const IoCompletion& b) {
-                     const uint64_t ta = a.CompletionNs();
-                     const uint64_t tb = b.CompletionNs();
-                     return ta != tb ? ta < tb : a.op_id < b.op_id;
-                   });
   std::vector<IoCompletion> delivered;
-  delivered.reserve(due.size());
-  for (IoCompletion& c : due) {
-    DeliverOne(std::move(c), &delivered);
+  for (const DueKey* earliest = Earliest();
+       earliest != nullptr && earliest->completion_ns <= now_ns; earliest = Earliest()) {
+    std::pop_heap(due_.begin(), due_.end(), std::greater<>());
+    const size_t slot = due_.back().slot;
+    due_.pop_back();
+    DeliverOne(std::move(completed_[slot]), &delivered);
+    free_slots_.push_back(slot);
   }
   return delivered;
 }

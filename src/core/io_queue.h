@@ -8,8 +8,8 @@
 // different queues, collapse into single WriteVAt/ReadVAt/TrimVAt calls whose
 // per-op issue times are the ops' own admission times. Completions surface out of
 // order through PollCompletions() (everything whose virtual completion time has
-// passed, ordered by completion time) or Drain(), plus an optional per-completion
-// callback.
+// passed, ordered by (completion time, op id)) or Drain(). Undelivered completions sit
+// in a min-heap on that key, so delivering one costs O(log n) in the ops in flight.
 //
 // Ordering invariants (see DESIGN.md "Multi-queue submission & sharded map"):
 //   * Commit order == global submission order, independent of queue count and depth.
@@ -33,7 +33,6 @@
 #define SRC_CORE_IO_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -58,7 +57,7 @@ struct QueueOp {
 };
 
 // Completion context for one op, delivered (possibly out of submission order) by
-// PollCompletions/Drain and the completion callback.
+// PollCompletions/Drain.
 struct IoCompletion {
   uint64_t op_id = 0;          // Global submission order, dense from 0.
   uint64_t submission_id = 0;
@@ -75,6 +74,10 @@ struct IoCompletion {
 
 // Cumulative counters (every field uint64_t; obs/metrics_bindings.h registers each).
 // `inflight_ops` is a gauge: ops submitted but not yet delivered.
+// `completions_examined` counts the undelivered completions NextCompletionNs and
+// PollCompletions read to decide what is due: the heap top, once per NextCompletionNs
+// call and once per due-check in a poll (at most deliveries + 1). A return to scanning
+// every op in flight shows up in this deterministic counter.
 struct IoQueueStats {
   uint64_t submissions = 0;
   uint64_t ops_submitted = 0;
@@ -85,6 +88,7 @@ struct IoQueueStats {
   uint64_t queue_full_rejections = 0;
   uint64_t inflight_ops = 0;
   uint64_t max_inflight_ops = 0;
+  uint64_t completions_examined = 0;
 };
 
 // Process-wide aggregates, fed by every IoQueueLayer instance, so BenchDumpMetrics
@@ -107,8 +111,6 @@ class IoQueueLayer {
     uint64_t max_inflight_subs = 0;
   };
 
-  using CompletionCallback = std::function<void(const IoCompletion&)>;
-
   // `ftl` must outlive the layer. The layer only drives the primary view.
   IoQueueLayer(Ftl* ftl, const Options& options);
 
@@ -117,9 +119,6 @@ class IoQueueLayer {
   const IoQueueStats& stats() const { return stats_; }
   const LatencyHistogram& completion_histogram() const { return completion_hist_; }
   const std::vector<PerQueueStats>& per_queue() const { return per_queue_; }
-
-  // Invoked once per completion, in delivery order, from PollCompletions/Drain.
-  void SetCompletionCallback(CompletionCallback cb) { callback_ = std::move(cb); }
 
   // Admits `ops` on `queue` at `issue_ns` and returns the submission id. Issue times
   // must be non-decreasing across Submit calls (the log is append-ordered). Fails
@@ -160,10 +159,27 @@ class IoQueueLayer {
     uint64_t issue_ns = 0;
   };
 
-  // Commits pending_[begin, begin+len) — one maximal same-kind run — and appends the
-  // run's completions to completed_.
-  void CommitRun(size_t begin, size_t len);
+  // An undelivered completion's delivery key and its slot in completed_.
+  struct DueKey {
+    uint64_t completion_ns = 0;
+    uint64_t op_id = 0;
+    size_t slot = 0;
+
+    // Delivered later; std::greater<> over this makes due_ a min-heap.
+    bool operator>(const DueKey& o) const {
+      return completion_ns != o.completion_ns ? completion_ns > o.completion_ns
+                                              : op_id > o.op_id;
+    }
+  };
+
+  // Commits pending_[begin, begin+len) — one maximal same-kind run — queues the run's
+  // completions for delivery, and returns the run's status.
+  Status CommitRun(size_t begin, size_t len);
   void FailOp(const PendingOp& op, const Status& status);
+  void PushCompletion(IoCompletion&& c);
+  // The earliest undelivered completion's key (the heap top), or nullptr; counts one
+  // completions_examined per non-null read.
+  const DueKey* Earliest();
   void DeliverOne(IoCompletion&& c, std::vector<IoCompletion>* out);
 
   Ftl* ftl_;
@@ -171,10 +187,15 @@ class IoQueueLayer {
   IoQueueStats stats_;
   LatencyHistogram completion_hist_;
   std::vector<PerQueueStats> per_queue_;
-  CompletionCallback callback_;
 
-  std::vector<PendingOp> pending_;       // In submission order.
-  std::vector<IoCompletion> completed_;  // Committed, not yet delivered.
+  std::vector<PendingOp> pending_;  // In submission order.
+  // Committed, not yet delivered. Completions sit in reusable slots of completed_
+  // (free ones listed in free_slots_); due_ is a min-heap of their (CompletionNs,
+  // op_id) keys, the delivery order, so heap moves shift 24-byte keys, not 192-byte
+  // completions.
+  std::vector<IoCompletion> completed_;
+  std::vector<size_t> free_slots_;
+  std::vector<DueKey> due_;
   // Undelivered op count per in-flight submission; a queue slot frees when its
   // submission's last completion is delivered.
   std::unordered_map<uint64_t, uint64_t> sub_remaining_;

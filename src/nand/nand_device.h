@@ -251,7 +251,9 @@ class NandDevice {
   void SerializeTo(std::vector<uint8_t>* out) const;
   // Rebuilds a device from SerializeTo() bytes. The loaded device has all fault
   // injection disarmed: images are inspected and repaired on a healthy host, and
-  // latent damage is already baked into the stored bits.
+  // latent damage is already baked into the stored bits. Untrusted bytes end in a
+  // Status: geometry larger than the image can hold, above 2^24 pages in total, or
+  // above 2^16 channels or buses is kDataLoss before anything is allocated.
   static StatusOr<std::unique_ptr<NandDevice>> Deserialize(
       const std::vector<uint8_t>& bytes);
 

@@ -22,7 +22,7 @@ inline constexpr size_t kFtlStatsMetricCount = 41;
 inline constexpr size_t kNandStatsMetricCount = 16;
 inline constexpr size_t kValidityStatsMetricCount = 7;
 inline constexpr size_t kLogStatsMetricCount = 3;
-inline constexpr size_t kIoQueueStatsMetricCount = 9;
+inline constexpr size_t kIoQueueStatsMetricCount = 10;
 
 inline void RegisterFtlStats(MetricsRegistry* registry, const FtlStats& s,
                              const std::string& prefix = "ftl.") {
@@ -145,6 +145,7 @@ inline void RegisterIoQueueStats(MetricsRegistry* registry, const IoQueueStats& 
   add("merged_runs", &s.merged_runs);
   add("queue_full_rejections", &s.queue_full_rejections);
   add("max_inflight_ops", &s.max_inflight_ops);
+  add("completions_examined", &s.completions_examined);
   const uint64_t* inflight = &s.inflight_ops;
   registry->RegisterGauge(prefix + "inflight_ops",
                           [inflight] { return static_cast<double>(*inflight); });

@@ -10,13 +10,17 @@
 namespace iosnap {
 namespace {
 
+// A plain value with no padding and no heap pointer. gtest prints a parameter that has
+// no operator<< as a byte dump, and that dump is part of each test's listed name; a
+// std::string member put a heap address there, so the names changed from run to run.
 struct Geometry {
-  std::string name;
+  char name[32];
   uint64_t page_bytes;
   uint64_t pages_per_segment;
   uint64_t num_segments;
-  uint32_t channels;
+  uint64_t channels;
 };
+static_assert(sizeof(Geometry) == 32 + 4 * sizeof(uint64_t), "Geometry must have no padding");
 
 std::vector<Geometry> Geometries() {
   return {
@@ -36,7 +40,7 @@ class GeometryTest : public ::testing::TestWithParam<Geometry> {
     config.nand.page_size_bytes = GetParam().page_bytes;
     config.nand.pages_per_segment = GetParam().pages_per_segment;
     config.nand.num_segments = GetParam().num_segments;
-    config.nand.num_channels = GetParam().channels;
+    config.nand.num_channels = static_cast<uint32_t>(GetParam().channels);
     config.nand.store_data = true;
     config.validity_chunk_bits = 128;
     config.gc_reserve_segments = 2;

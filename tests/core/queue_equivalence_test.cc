@@ -8,6 +8,9 @@
 //      submission order, out-of-orderness only reorders completion delivery.
 //   3. A mid-run device crash under multi-queue load recovers to a state that is
 //      exactly a submission-order prefix of the write stream (log replay).
+//   4. Completion delivery order, per poll, matches digests recorded from the
+//      linear-scan layer the completion heap replaced; finding what is due reads a
+//      few entries per delivered op; a failed run aborts every later pending op.
 //
 // Sharding rides along: every Ftl here uses the default map_shards=4, and one
 // parameterization turns on map_update_threads so the parallel per-shard InsertBatch
@@ -528,6 +531,306 @@ TEST(QueueCrashTest, RecoversToSubmissionOrderPrefix) {
     // The recovered device is usable.
     ASSERT_OK(h.Write(0, 9999));
     ASSERT_TRUE(h.CheckLba(kPrimaryView, 0, 9999));
+  }
+}
+
+// FNV-1a over little-endian 64-bit words.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  // Stats structs hold only uint64_t fields (obs_tests pins their sizes).
+  template <typename T>
+  void AddWords(const T& s) {
+    static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+    for (size_t i = 0; i < sizeof(T); i += sizeof(uint64_t)) {
+      uint64_t w = 0;
+      std::memcpy(&w, reinterpret_cast<const char*>(&s) + i, sizeof(w));
+      Add(w);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Submits fixed-seed `batch`-op mixes of writes, reads and trims into every free queue
+// slot at the current virtual time, then advances to NextCompletionNs() and polls.
+// Returns the polls' deliveries in order, each NextCompletionNs() answer, and the
+// layer's final stats.
+struct PollLog {
+  std::vector<uint64_t> next_ns;                 // One per NextCompletionNs() call.
+  std::vector<uint64_t> poll_now;                // The `now` each poll ran at.
+  std::vector<std::vector<IoCompletion>> polls;  // Each poll's deliveries, in order.
+  std::vector<size_t> first_call;                // Per op: first call after its Submit.
+  IoQueueStats stats;
+};
+
+PollLog RunMixedQueued(Ftl* ftl, const FtlConfig& config, uint32_t queues,
+                       uint32_t iodepth, uint64_t batch, uint64_t total_ops) {
+  IoQueueLayer layer(ftl, {.queues = queues, .iodepth = iodepth});
+  const uint64_t lba_space = config.LbaCount() / 2;
+  Rng rng(1515);
+  PollLog log;
+  log.first_call.resize(total_ops);
+  uint64_t submitted = 0;
+  uint64_t version = 0;
+  uint64_t now = 0;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<QueueOp> ops;
+  while (submitted < total_ops || layer.InflightOps() > 0) {
+    if (submitted < total_ops) {
+      ftl->PumpBackground(now);
+    }
+    for (uint32_t q = 0; q < queues && submitted < total_ops; ++q) {
+      while (layer.CanSubmit(q) && submitted < total_ops) {
+        payloads.clear();
+        ops.clear();
+        const uint64_t n = std::min(batch, total_ops - submitted);
+        for (uint64_t k = 0; k < n; ++k) {
+          const uint64_t roll = rng.Next() % 10;
+          QueueOp op;
+          op.lba = rng.Next() % lba_space;
+          if (roll < 6) {
+            op.kind = QueueOpKind::kWrite;
+            payloads.push_back(PageData(config.nand.page_size_bytes, op.lba, ++version));
+          } else if (roll < 9) {
+            op.kind = QueueOpKind::kRead;
+          } else {
+            op.kind = QueueOpKind::kTrim;
+            op.count = 1 + rng.Next() % std::min<uint64_t>(4, lba_space - op.lba);
+          }
+          ops.push_back(op);
+          log.first_call[submitted + k] = log.next_ns.size();
+        }
+        size_t p = 0;
+        for (QueueOp& op : ops) {
+          if (op.kind == QueueOpKind::kWrite) {
+            op.data = payloads[p++];
+          }
+        }
+        IOSNAP_CHECK(layer.Submit(q, ops, now).ok());
+        submitted += n;
+      }
+    }
+    const std::optional<uint64_t> next = layer.NextCompletionNs();
+    if (!next.has_value()) {
+      break;
+    }
+    log.next_ns.push_back(*next);
+    now = std::max(now, *next);
+    log.poll_now.push_back(now);
+    log.polls.push_back(layer.PollCompletions(now));
+  }
+  log.stats = layer.stats();
+  return log;
+}
+
+struct OrderShape {
+  uint32_t queues;
+  uint32_t iodepth;
+  uint64_t digest;  // Computed by the linear-scan layer the completion heap replaced.
+};
+
+class DeliveryOrderTest : public ::testing::TestWithParam<OrderShape> {};
+
+// Pins completion delivery against history: every delivered (op_id, submission_id,
+// queue, CompletionNs, status code) in delivery order, each poll's boundary, and the
+// final FtlStats/NandStats fold into one digest per shape. Alongside, per poll: each
+// delivery is due, deliveries come sorted by (CompletionNs, op_id), and
+// NextCompletionNs() was the minimum over the ops still undelivered at that call.
+TEST_P(DeliveryOrderTest, MatchesPinnedDigest) {
+  const OrderShape shape = GetParam();
+  constexpr uint64_t kTotalOps = 6000;
+  const FtlConfig config = SmallConfig();
+  auto ftl_or = Ftl::Create(config);
+  ASSERT_OK(ftl_or.status());
+  std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
+
+  const PollLog log = RunMixedQueued(ftl.get(), config, shape.queues, shape.iodepth,
+                                     /*batch=*/8, kTotalOps);
+  ASSERT_EQ(log.polls.size(), log.next_ns.size());
+
+  Digest digest;
+  std::vector<uint64_t> completion_ns(kTotalOps, 0);
+  std::vector<size_t> delivered_at(kTotalOps, 0);
+  std::vector<bool> delivered(kTotalOps, false);
+  for (size_t k = 0; k < log.polls.size(); ++k) {
+    const std::vector<IoCompletion>& poll = log.polls[k];
+    ASSERT_FALSE(poll.empty()) << "poll " << k << " at its own NextCompletionNs";
+    digest.Add(~uint64_t{0});  // Poll boundary.
+    digest.Add(log.poll_now[k]);
+    digest.Add(poll.size());
+    for (size_t i = 0; i < poll.size(); ++i) {
+      const IoCompletion& c = poll[i];
+      ASSERT_LE(c.CompletionNs(), log.poll_now[k]) << "op " << c.op_id;
+      if (i > 0) {
+        const IoCompletion& prev = poll[i - 1];
+        ASSERT_TRUE(prev.CompletionNs() < c.CompletionNs() ||
+                    (prev.CompletionNs() == c.CompletionNs() && prev.op_id < c.op_id))
+            << "poll " << k << " delivered op " << c.op_id << " after " << prev.op_id;
+      }
+      ASSERT_LT(c.op_id, kTotalOps);
+      ASSERT_FALSE(delivered[c.op_id]) << "op " << c.op_id << " delivered twice";
+      delivered[c.op_id] = true;
+      completion_ns[c.op_id] = c.CompletionNs();
+      delivered_at[c.op_id] = k;
+      digest.Add(c.op_id);
+      digest.Add(c.submission_id);
+      digest.Add(c.queue);
+      digest.Add(c.CompletionNs());
+      digest.Add(static_cast<uint64_t>(c.status.code()));
+    }
+  }
+  ASSERT_EQ(std::count(delivered.begin(), delivered.end(), true),
+            static_cast<std::ptrdiff_t>(kTotalOps));
+
+  // Completion times are fixed at commit (the Flush inside NextCompletionNs), so the
+  // shadow minimum can be rebuilt after the fact: op i was undelivered at every call
+  // from the first one after its Submit through the one before the poll delivering it.
+  std::vector<uint64_t> shadow_min(log.next_ns.size(), ~uint64_t{0});
+  for (uint64_t op = 0; op < kTotalOps; ++op) {
+    for (size_t k = log.first_call[op]; k <= delivered_at[op]; ++k) {
+      shadow_min[k] = std::min(shadow_min[k], completion_ns[op]);
+    }
+  }
+  for (size_t k = 0; k < log.next_ns.size(); ++k) {
+    ASSERT_EQ(log.next_ns[k], shadow_min[k]) << "NextCompletionNs call " << k;
+  }
+
+  EXPECT_GT(ftl->stats().gc_segments_cleaned, 0u) << "GC never ran";
+  digest.AddWords(ftl->stats());
+  digest.AddWords(ftl->device().stats());
+  EXPECT_EQ(digest.value(), shape.digest)
+      << "delivery digest 0x" << std::hex << digest.value() << " (queues="
+      << std::dec << shape.queues << " iodepth=" << shape.iodepth << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DeliveryOrderTest,
+    ::testing::Values(OrderShape{1, 1, 0xd07c3e266291de02ULL},
+                      OrderShape{4, 8, 0x1c532d30064469a6ULL},
+                      OrderShape{4, 32, 0x9a34eb1c9da0d88bULL}),
+    [](const ::testing::TestParamInfo<OrderShape>& shape) {
+      return "q" + std::to_string(shape.param.queues) + "d" +
+             std::to_string(shape.param.iodepth);
+    });
+
+// Finding what is due reads the earliest undelivered completion, not every op in
+// flight: at 1024 ops in flight (4 queues x iodepth 8 x 32-op submissions) a scan of
+// the in-flight set would read about a thousand entries per delivered op.
+TEST(QueueCostTest, ExaminesAtMostFourCompletionsPerDeliveredOp) {
+  constexpr uint64_t kTotalOps = 8192;
+  const FtlConfig config = SmallConfig();
+  auto ftl_or = Ftl::Create(config);
+  ASSERT_OK(ftl_or.status());
+  std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
+  const uint64_t global_before = GlobalIoQueueStats().completions_examined;
+
+  const PollLog log = RunMixedQueued(ftl.get(), config, /*queues=*/4, /*iodepth=*/8,
+                                     /*batch=*/32, kTotalOps);
+  const IoQueueStats& s = log.stats;
+  ASSERT_EQ(s.ops_completed, kTotalOps);
+  EXPECT_EQ(s.max_inflight_ops, 1024u);
+  EXPECT_GT(s.completions_examined, 0u);
+  EXPECT_LE(s.completions_examined, 4 * s.ops_completed);
+  EXPECT_EQ(GlobalIoQueueStats().completions_examined - global_before,
+            s.completions_examined);
+}
+
+// A failed run fails its own ops with the FTL's error and every later pending op with
+// kUnavailable, without any of those later ops reaching the FTL; the queue slots all
+// come back. An earlier flush's completions are partly delivered and partly still
+// queued when the run fails, so its failed completion (due at its issue time) is
+// neither the last one queued nor in the last storage position.
+TEST(QueueAbortTest, FailedRunAbortsLaterRunsWithoutReachingFtl) {
+  constexpr uint64_t kRunOps = 8;
+  FtlConfig config = SmallConfig();
+  FaultPlan plan;
+  plan.crash_after_op = kRunOps;  // The first write run succeeds; the next op fails.
+  plan.ApplyTo(&config);
+
+  std::vector<std::vector<uint8_t>> payloads;
+  for (uint64_t lba = 0; lba < 3 * kRunOps; ++lba) {
+    payloads.push_back(PageData(config.nand.page_size_bytes, lba, 1));
+  }
+  auto make_run = [&](QueueOpKind kind, uint64_t first, uint64_t n) {
+    std::vector<QueueOp> ops(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      ops[i].kind = kind;
+      ops[i].lba = first + i;
+      ops[i].count = 1;
+      if (kind == QueueOpKind::kWrite) {
+        ops[i].data = payloads[first + i];
+      }
+    }
+    return ops;
+  };
+  auto write_reqs = [&](uint64_t first, uint64_t n) {
+    std::vector<WriteRequest> reqs;
+    for (uint64_t lba = first; lba < first + n; ++lba) {
+      reqs.push_back({lba, payloads[lba]});
+    }
+    return reqs;
+  };
+
+  auto ftl_or = Ftl::Create(config);
+  ASSERT_OK(ftl_or.status());
+  std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
+  IoQueueLayer layer(ftl.get(), {.queues = 2, .iodepth = 3});
+  // Ops 0-7: a write run, committed; the earliest completions are delivered.
+  ASSERT_OK(layer.Submit(0, make_run(QueueOpKind::kWrite, 0, kRunOps), 0).status());
+  const std::optional<uint64_t> t1 = layer.NextCompletionNs();
+  ASSERT_TRUE(t1.has_value());
+  const std::vector<IoCompletion> early = layer.PollCompletions(*t1);
+  ASSERT_FALSE(early.empty());
+  ASSERT_LT(early.size(), kRunOps);
+  // One Flush: a one-op write run (op 8, fails), then read, trim and write runs.
+  ASSERT_OK(layer.Submit(1, make_run(QueueOpKind::kWrite, kRunOps, 1), *t1).status());
+  ASSERT_OK(layer.Submit(0, make_run(QueueOpKind::kRead, 0, kRunOps), *t1).status());
+  ASSERT_OK(layer.Submit(1, make_run(QueueOpKind::kTrim, 0, kRunOps), *t1).status());
+  ASSERT_OK(layer.Submit(0, make_run(QueueOpKind::kWrite, 2 * kRunOps, kRunOps), *t1)
+                .status());
+
+  // Control: the two write runs alone, straight through the vectored path.
+  auto control_or = Ftl::Create(config);
+  ASSERT_OK(control_or.status());
+  std::unique_ptr<Ftl> control = std::move(control_or).value();
+  ASSERT_OK(control->WriteV(write_reqs(0, kRunOps), 0).status());
+  const Status ftl_error = control->WriteV(write_reqs(kRunOps, 1), *t1).status();
+  ASSERT_FALSE(ftl_error.ok()) << "the crash point must fail the one-op write run";
+
+  const std::vector<IoCompletion> rest = layer.Drain();
+  ASSERT_EQ(early.size() + rest.size(), 4 * kRunOps + 1);
+  const Status aborted = Unavailable("io_queue: aborted after earlier run failed");
+  for (const IoCompletion& c : rest) {
+    if (c.op_id < kRunOps) {
+      EXPECT_OK(c.status);
+      continue;
+    }
+    if (c.op_id == kRunOps) {
+      EXPECT_EQ(c.status, ftl_error);
+    } else {
+      EXPECT_EQ(c.status, aborted) << "op " << c.op_id;
+    }
+    EXPECT_EQ(c.CompletionNs(), *t1) << "op " << c.op_id;
+  }
+  EXPECT_EQ(layer.stats().ops_failed, 3 * kRunOps + 1);
+
+  // The later runs never reached the FTL: its stats match the two write runs alone.
+  const FtlStats& got = ftl->stats();
+  const FtlStats& want = control->stats();
+  EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(FtlStats)));
+  EXPECT_EQ(got.user_reads, 0u);
+  EXPECT_EQ(got.user_trims, 0u);
+
+  EXPECT_EQ(layer.InflightOps(), 0u);
+  for (uint32_t q = 0; q < layer.queue_count(); ++q) {
+    EXPECT_TRUE(layer.CanSubmit(q)) << "queue " << q;
   }
 }
 

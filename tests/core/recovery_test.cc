@@ -276,5 +276,35 @@ TEST(CheckpointFormatTest, CorruptionDetected) {
   EXPECT_FALSE(ParseCheckpoint(truncated).ok());
 }
 
+// Entry counts are untrusted: one the remaining bytes cannot hold is kDataLoss, not a
+// reserve() that throws.
+TEST(CheckpointFormatTest, HostileCountsAreDataLoss) {
+  CheckpointState state;
+  state.primary_map = {{1, 100}, {2, 200}};
+  state.validity[0] = {100, 200};
+  const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
+  ASSERT_OK(ParseCheckpoint(bytes).status());
+
+  // Layout: magic u64, version u32, seq u64, epoch u32, tree, map_count u64, entries,
+  // epoch_count u32, then per epoch: epoch u32, count u64, paddrs.
+  std::vector<uint8_t> tree;
+  state.tree.SerializeTo(&tree);
+  const size_t map_count_at = 24 + tree.size();
+  const size_t paddr_count_at = map_count_at + 8 + 16 * state.primary_map.size() + 8;
+  const auto parse_with = [&](size_t offset, uint64_t value) {
+    std::vector<uint8_t> mutated = bytes;
+    for (size_t i = 0; i < 8; ++i) {
+      mutated[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+    return ParseCheckpoint(mutated).status();
+  };
+  ASSERT_OK(parse_with(map_count_at, state.primary_map.size()));
+  ASSERT_OK(parse_with(paddr_count_at, state.validity[0].size()));
+  for (const uint64_t count : {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 20}) {
+    EXPECT_EQ(parse_with(map_count_at, count).code(), StatusCode::kDataLoss) << count;
+    EXPECT_EQ(parse_with(paddr_count_at, count).code(), StatusCode::kDataLoss) << count;
+  }
+}
+
 }  // namespace
 }  // namespace iosnap

@@ -875,5 +875,44 @@ TEST(NandFaultTest, ZeroRatesLeaveTimingAndStateUntouched) {
   EXPECT_EQ(0, std::memcmp(&a.stats(), &b.stats(), sizeof(NandStats)));
 }
 
+// Image geometry is untrusted: a count the image bytes cannot back, a page count above
+// the 2^24 cap, or an absurd channel/bus count ends in kDataLoss before the device is
+// built from it, instead of aborting inside the NandDevice constructor.
+TEST(NandImageTest, HostileGeometryIsDataLoss) {
+  NandDevice dev(TestNand());
+  PageHeader header;
+  header.type = RecordType::kData;
+  uint64_t paddr = 0;
+  ASSERT_OK(dev.ProgramPage(0, header, PageData(512, 1, 1), 0, &paddr).status());
+  std::vector<uint8_t> image;
+  dev.SerializeTo(&image);
+  ASSERT_OK(NandDevice::Deserialize(image).status());
+
+  // Image header offsets: pages_per_segment u64 @20, num_segments u64 @28,
+  // num_channels u32 @36, buses u32 @72.
+  const auto load_with = [&](size_t offset, uint64_t value, size_t width) {
+    std::vector<uint8_t> bytes = image;
+    for (size_t i = 0; i < width; ++i) {
+      bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+    return NandDevice::Deserialize(bytes).status();
+  };
+  // The 8-byte 0xff overwrite at offset 35 that a mutation campaign found aborting
+  // iosnap_fsck: num_segments' top byte plus all of num_channels.
+  std::vector<uint8_t> mutated = image;
+  std::memset(mutated.data() + 35, 0xff, 8);
+  const Status s = NandDevice::Deserialize(mutated).status();
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s;
+
+  EXPECT_EQ(load_with(28, uint64_t{1} << 40, 8).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(28, image.size() / 26 + 1, 8).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(20, uint64_t{1} << 40, 8).code(), StatusCode::kDataLoss);
+  // 4 segments x 2^62 pages wraps to 0 in 64 bits.
+  EXPECT_EQ(load_with(20, uint64_t{1} << 62, 8).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(20, (uint64_t{1} << 22) + 1, 8).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(36, 0xffffffffu, 4).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(72, 0xffffffffu, 4).code(), StatusCode::kDataLoss);
+}
+
 }  // namespace
 }  // namespace iosnap
