@@ -534,30 +534,6 @@ TEST(QueueCrashTest, RecoversToSubmissionOrderPrefix) {
   }
 }
 
-// FNV-1a over little-endian 64-bit words.
-class Digest {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
-  // Stats structs hold only uint64_t fields (obs_tests pins their sizes).
-  template <typename T>
-  void AddWords(const T& s) {
-    static_assert(sizeof(T) % sizeof(uint64_t) == 0);
-    for (size_t i = 0; i < sizeof(T); i += sizeof(uint64_t)) {
-      uint64_t w = 0;
-      std::memcpy(&w, reinterpret_cast<const char*>(&s) + i, sizeof(w));
-      Add(w);
-    }
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 // Submits fixed-seed `batch`-op mixes of writes, reads and trims into every free queue
 // slot at the current virtual time, then advances to NextCompletionNs() and polls.
 // Returns the polls' deliveries in order, each NextCompletionNs() answer, and the

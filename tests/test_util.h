@@ -1,12 +1,13 @@
-// Shared helpers for the ioSnap test suite: small device configurations, deterministic
-// page payloads, a brute-force reference model of snapshot semantics, and gtest glue for
-// Status/StatusOr.
+// Shared helpers for the ioSnap test suite: small device configurations, a result
+// digest, deterministic page payloads, a brute-force reference model of snapshot
+// semantics, and gtest glue for Status/StatusOr.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -82,6 +83,31 @@ struct FaultPlan {
     config->nand.fault.crash_after_op = crash_after_op;
     config->nand.fault.bad_block_schedule = bad_block_schedule;
   }
+};
+
+// FNV-1a over little-endian 64-bit words: folds a run's observable results into one
+// value that tests pin against digests recorded from an earlier commit.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  // Stats structs hold only uint64_t fields (obs_tests pins their sizes).
+  template <typename T>
+  void AddWords(const T& s) {
+    static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+    for (size_t i = 0; i < sizeof(T); i += sizeof(uint64_t)) {
+      uint64_t w = 0;
+      std::memcpy(&w, reinterpret_cast<const char*>(&s) + i, sizeof(w));
+      Add(w);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
 // Deterministic page payload derived from (lba, version).
