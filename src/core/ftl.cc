@@ -288,133 +288,17 @@ Status Ftl::CheckWritable(uint64_t issue_ns) {
   return OkStatus();
 }
 
-StatusOr<IoResult> Ftl::WriteInternal(View* view, uint64_t lba, std::span<const uint8_t> data,
-                                      uint64_t issue_ns) {
-  if (closed_) {
-    return FailedPrecondition("ftl: closed");
-  }
-  RETURN_IF_ERROR(CheckWritable(issue_ns));
-  if (lba >= lba_count_) {
-    return OutOfRange("write: lba " + std::to_string(lba) + " out of range");
-  }
-  if (!view->ready) {
-    return FailedPrecondition("write: view still activating");
-  }
-  if (!view->writable) {
-    return FailedPrecondition("write: view is read-only");
-  }
-
-  uint64_t host_ns = config_.host_map_lookup_ns;
-  RETURN_IF_ERROR(EnsureAppendSpace(issue_ns));
-  validity_.NoteTimeNs(issue_ns);
-
-  PageHeader header;
-  header.type = RecordType::kData;
-  header.lba = lba;
-  header.epoch = view->epoch;
-  header.seq = NextSeq();
-  ASSIGN_OR_RETURN(AppendResult ar, log_.Append(LogManager::kActiveHead, header, data,
-                                                issue_ns));
-
-  uint64_t cow_bytes = 0;
-  const std::optional<uint64_t> old_paddr = view->map.Lookup(lba);
-  if (old_paddr.has_value()) {
-    cow_bytes += validity_.ClearValid(view->epoch, *old_paddr);
-  }
-  cow_bytes += validity_.SetValid(view->epoch, ar.paddr);
-  view->map.Insert(lba, ar.paddr);
-
-  host_ns += config_.host_map_update_ns + 2 * config_.host_bitmap_update_ns +
-             cow_bytes * config_.host_cow_ns_per_byte;
-  if (cow_bytes > 0) {
-    ++stats_.validity_cow_events;
-    stats_.validity_cow_bytes += cow_bytes;
-  }
-
-  ++stats_.user_writes;
-  stats_.user_bytes_written += config_.nand.page_size_bytes;
-  ++stats_.total_pages_programmed;
-
-  PaceCleanerOnWrite(ar.op.finish_ns);
-
-  IoResult result;
-  result.op = ar.op;
-  result.host_ns = host_ns;
-  result.host_map_ns = config_.host_map_lookup_ns + config_.host_map_update_ns;
-  result.host_cow_ns = cow_bytes * config_.host_cow_ns_per_byte;
-  RecordLatency(LatencyOpKind::kWrite, lba, result);
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kUserWrite, issue_ns, result.CompletionNs(), lba,
-                   view->view_id);
-  }
-  return result;
-}
-
-StatusOr<IoResult> Ftl::ReadInternal(const View& view, uint64_t lba, uint64_t issue_ns,
-                                     std::vector<uint8_t>* data_out) {
-  if (closed_) {
-    return FailedPrecondition("ftl: closed");
-  }
-  if (lba >= lba_count_) {
-    return OutOfRange("read: lba " + std::to_string(lba) + " out of range");
-  }
-  if (!view.ready) {
-    return FailedPrecondition("read: view still activating");
-  }
-
-  IoResult result;
-  result.host_ns = config_.host_map_lookup_ns;
-  result.host_map_ns = config_.host_map_lookup_ns;
-  ++stats_.user_reads;
-  stats_.user_bytes_read += config_.nand.page_size_bytes;
-
-  const std::optional<uint64_t> paddr = view.map.Lookup(lba);
-  if (!paddr.has_value()) {
-    // Unwritten LBAs read as zeroes without touching the device.
-    if (data_out != nullptr) {
-      data_out->assign(config_.nand.page_size_bytes, 0);
-    }
-    result.op.issue_ns = issue_ns;
-    result.op.finish_ns = issue_ns;
-  } else {
-    StatusOr<NandOp> op = device_->ReadPageWithRetry(*paddr, issue_ns, nullptr, data_out,
-                                                     config_.read_retry_limit);
-    if (op.ok()) {
-      result.op = *op;
-    } else if (op.status().code() == StatusCode::kDataLoss && config_.parity_stripe > 0) {
-      // Permanent CRC failure with parity on: rebuild the page from its stripe before
-      // admitting data loss. The synthetic op window covers the whole rebuild (member
-      // reads + corrective append) and is attributed to the kRebuild span.
-      StatusOr<AppendResult> rebuilt = RebuildPage(*paddr, issue_ns, data_out);
-      if (!rebuilt.ok()) {
-        ++stats_.user_read_errors;
-        return op.status();
-      }
-      result.op.issue_ns = issue_ns;
-      result.op.finish_ns = rebuilt->op.finish_ns;
-      result.rebuild_ns = rebuilt->op.finish_ns - issue_ns;
-    } else {
-      // Retries exhausted (transient) or the page failed its CRC (permanent): surface
-      // the typed status instead of aborting; the rest of the device stays readable.
-      ++stats_.user_read_errors;
-      return op.status();
-    }
-  }
-  RecordLatency(LatencyOpKind::kRead, lba, result);
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kUserRead, issue_ns, result.CompletionNs(), lba,
-                   view.view_id);
-  }
-  return result;
-}
-
-StatusOr<std::vector<IoResult>> Ftl::WriteVInternal(View* view,
-                                                    std::span<const WriteRequest> requests,
-                                                    uint64_t issue_ns,
-                                                    std::span<const uint64_t> issue_at) {
+Status Ftl::WritePages(uint32_t view_id, std::span<const WriteRequest> requests,
+                       uint64_t issue_ns, std::span<const uint64_t> issue_at,
+                       IoResult* results) {
   const auto IssueAt = [&](size_t i) {
     return issue_at.empty() ? issue_ns : issue_at[i];
   };
+  RETURN_IF_ERROR(CheckIssueAt(requests.size(), issue_at));
+  View* view = FindView(view_id);
+  if (view == nullptr) {
+    return NotFound("view " + std::to_string(view_id) + " does not exist");
+  }
   if (closed_) {
     return FailedPrecondition("ftl: closed");
   }
@@ -431,28 +315,16 @@ StatusOr<std::vector<IoResult>> Ftl::WriteVInternal(View* view,
     }
   }
 
-  std::vector<IoResult> results;
-  results.reserve(requests.size());
-  if (requests.empty()) {
-    return results;
-  }
-
-  // Scratch reused across runs.
-  std::vector<LogManager::AppendRequest> appends;
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
-  std::vector<std::optional<uint64_t>> old_paddrs;
-  std::vector<ValidityMap::BitOp> bit_ops;
-  std::vector<size_t> op_begin;
-
+  WriteScratch& s = scratch_;
   size_t next = 0;
   while (next < requests.size()) {
     RETURN_IF_ERROR(EnsureAppendSpace(IssueAt(next)));
     const uint64_t remaining = requests.size() - next;
 
-    // Run sizing: the longest prefix for which the one-by-one path would provably keep
+    // Run sizing: the longest prefix for which one-by-one writes would provably keep
     // EnsureAppendSpace and PaceCleanerOnWrite no-ops between writes, so batching the
     // device work cannot reorder cleaner traffic relative to sequential execution.
-    // Outside those regimes fall back to one page at a time — the scalar path exactly.
+    // Outside those regimes runs are one page long — exactly one-by-one writes.
     uint64_t run = 1;
     const uint64_t head_pages = std::max<uint64_t>(1, log_.ActiveHeadFreePages());
     if (!activations_.empty()) {
@@ -476,52 +348,52 @@ StatusOr<std::vector<IoResult>> Ftl::WriteVInternal(View* view,
     }
 
     validity_.NoteTimeNs(IssueAt(next));
-    appends.clear();
+    s.appends.clear();
     for (uint64_t i = 0; i < run; ++i) {
       PageHeader header;
       header.type = RecordType::kData;
       header.lba = requests[next + i].lba;
       header.epoch = view->epoch;
       header.seq = NextSeq();
-      appends.push_back({header, requests[next + i].data});
+      s.appends.push_back({header, requests[next + i].data});
     }
-    std::vector<AppendResult> ars;
+    s.appended.clear();
     const Status append_status =
-        log_.AppendBatch(LogManager::kActiveHead, appends, IssueAt(next), &ars,
+        log_.AppendBatch(LogManager::kActiveHead, s.appends, IssueAt(next), &s.appended,
                          issue_at.empty() ? std::span<const uint64_t>{}
                                           : issue_at.subspan(next, run));
-    // On error `ars` holds the durably appended prefix (possibly torn mid-batch by a
-    // fault); apply exactly that prefix to the map/validity so in-memory state matches
-    // the log, then propagate the error below.
-    run = ars.size();
+    // On error `appended` holds the durably appended prefix (possibly torn mid-batch by
+    // a fault); apply exactly that prefix to the map/validity so in-memory state
+    // matches the log, then propagate the error below.
+    run = s.appended.size();
 
     // Forward map: one batched descent for the run. `old_paddrs` matches what
     // per-record lookups would have returned (duplicate LBAs resolve in submission
     // order).
-    entries.clear();
+    s.entries.clear();
     for (uint64_t i = 0; i < run; ++i) {
-      entries.emplace_back(requests[next + i].lba, ars[i].paddr);
+      s.entries.emplace_back(requests[next + i].lba, s.appended[i].paddr);
     }
-    view->map.InsertBatch(entries, &old_paddrs);
+    view->map.InsertBatch(s.entries, &s.old_paddrs);
 
     // Validity: per record, clear-old then set-new. ApplyBatch groups the flips by
     // chunk; per-op CoW attribution is identical to the sequential calls.
-    bit_ops.clear();
-    op_begin.clear();
+    s.bit_ops.clear();
+    s.op_begin.clear();
     for (uint64_t i = 0; i < run; ++i) {
-      op_begin.push_back(bit_ops.size());
-      if (old_paddrs[i].has_value()) {
-        bit_ops.push_back({*old_paddrs[i], false, 0});
+      s.op_begin.push_back(s.bit_ops.size());
+      if (s.old_paddrs[i].has_value()) {
+        s.bit_ops.push_back({*s.old_paddrs[i], false, 0});
       }
-      bit_ops.push_back({ars[i].paddr, true, 0});
+      s.bit_ops.push_back({s.appended[i].paddr, true, 0});
     }
-    validity_.ApplyBatch(view->epoch, bit_ops);
+    validity_.ApplyBatch(view->epoch, s.bit_ops);
 
     for (uint64_t i = 0; i < run; ++i) {
-      const size_t ops_end = i + 1 < run ? op_begin[i + 1] : bit_ops.size();
+      const size_t ops_end = i + 1 < run ? s.op_begin[i + 1] : s.bit_ops.size();
       uint64_t cow_bytes = 0;
-      for (size_t o = op_begin[i]; o < ops_end; ++o) {
-        cow_bytes += bit_ops[o].cow_bytes;
+      for (size_t o = s.op_begin[i]; o < ops_end; ++o) {
+        cow_bytes += s.bit_ops[o].cow_bytes;
       }
       if (cow_bytes > 0) {
         ++stats_.validity_cow_events;
@@ -531,10 +403,11 @@ StatusOr<std::vector<IoResult>> Ftl::WriteVInternal(View* view,
       stats_.user_bytes_written += config_.nand.page_size_bytes;
       ++stats_.total_pages_programmed;
 
-      PaceCleanerOnWrite(ars[i].op.finish_ns);
+      PaceCleanerOnWrite(s.appended[i].op.finish_ns);
 
-      IoResult result;
-      result.op = ars[i].op;
+      IoResult& result = results[next + i];
+      result = IoResult{};
+      result.op = s.appended[i].op;
       result.host_ns = config_.host_map_lookup_ns + config_.host_map_update_ns +
                        2 * config_.host_bitmap_update_ns +
                        cow_bytes * config_.host_cow_ns_per_byte;
@@ -545,30 +418,28 @@ StatusOr<std::vector<IoResult>> Ftl::WriteVInternal(View* view,
         trace_->Record(TraceEventType::kUserWrite, IssueAt(next + i), result.CompletionNs(),
                        requests[next + i].lba, view->view_id);
       }
-      results.push_back(result);
     }
     next += run;
-    if (!append_status.ok()) {
-      return append_status;
-    }
+    RETURN_IF_ERROR(append_status);
   }
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kUserBatch, issue_ns, issue_ns, requests.size(),
-                   view->view_id);
-  }
-  return results;
+  return OkStatus();
 }
 
-StatusOr<std::vector<IoResult>> Ftl::ReadVInternal(
-    const View& view, std::span<const uint64_t> lbas, uint64_t issue_ns,
-    std::vector<std::vector<uint8_t>>* data_out, std::span<const uint64_t> issue_at) {
+Status Ftl::ReadPages(uint32_t view_id, std::span<const uint64_t> lbas, uint64_t issue_ns,
+                      std::span<const uint64_t> issue_at, IoResult* results,
+                      std::vector<uint8_t>* data_out) {
   const auto IssueAt = [&](size_t i) {
     return issue_at.empty() ? issue_ns : issue_at[i];
   };
+  RETURN_IF_ERROR(CheckIssueAt(lbas.size(), issue_at));
+  const View* view = FindView(view_id);
+  if (view == nullptr) {
+    return NotFound("view " + std::to_string(view_id) + " does not exist");
+  }
   if (closed_) {
     return FailedPrecondition("ftl: closed");
   }
-  if (!view.ready) {
+  if (!view->ready) {
     return FailedPrecondition("read: view still activating");
   }
   for (uint64_t lba : lbas) {
@@ -577,196 +448,60 @@ StatusOr<std::vector<IoResult>> Ftl::ReadVInternal(
     }
   }
 
-  std::vector<IoResult> results(lbas.size());
-  if (data_out != nullptr) {
-    data_out->assign(lbas.size(), {});
-  }
-  // Resolve in submission order; unmapped LBAs read as zeroes without device work,
-  // mapped pages go to the device as one batch at the shared issue time.
-  std::vector<uint64_t> paddrs;
-  std::vector<size_t> mapped;
-  std::vector<uint64_t> mapped_issue;
-  paddrs.reserve(lbas.size());
-  mapped.reserve(lbas.size());
+  stats_.user_reads += lbas.size();
+  stats_.user_bytes_read += lbas.size() * config_.nand.page_size_bytes;
   for (size_t i = 0; i < lbas.size(); ++i) {
-    IoResult& r = results[i];
-    r.host_ns = config_.host_map_lookup_ns;
-    r.host_map_ns = config_.host_map_lookup_ns;
-    ++stats_.user_reads;
-    stats_.user_bytes_read += config_.nand.page_size_bytes;
-    const std::optional<uint64_t> paddr = view.map.Lookup(lbas[i]);
+    const uint64_t t = IssueAt(i);
+    std::vector<uint8_t>* page = data_out == nullptr ? nullptr : &data_out[i];
+    IoResult& result = results[i];
+    result = IoResult{};
+    result.host_ns = config_.host_map_lookup_ns;
+    result.host_map_ns = config_.host_map_lookup_ns;
+    const std::optional<uint64_t> paddr = view->map.Lookup(lbas[i]);
     if (!paddr.has_value()) {
-      if (data_out != nullptr) {
-        (*data_out)[i].assign(config_.nand.page_size_bytes, 0);
+      // Unwritten LBAs read as zeroes without touching the device.
+      if (page != nullptr) {
+        page->assign(config_.nand.page_size_bytes, 0);
       }
-      r.op.issue_ns = IssueAt(i);
-      r.op.finish_ns = IssueAt(i);
-    } else {
-      paddrs.push_back(*paddr);
-      mapped.push_back(i);
-      if (!issue_at.empty()) {
-        mapped_issue.push_back(issue_at[i]);
+      result.op.issue_ns = t;
+      result.op.finish_ns = t;
+      continue;
+    }
+    StatusOr<NandOp> op =
+        device_->ReadPageWithRetry(*paddr, t, nullptr, page, config_.read_retry_limit);
+    if (op.ok()) {
+      result.op = *op;
+      continue;
+    }
+    if (op.status().code() == StatusCode::kDataLoss && config_.parity_stripe > 0) {
+      // Permanent CRC failure with parity on: rebuild the page from its stripe before
+      // admitting data loss. The synthetic op window covers the whole rebuild (member
+      // reads + corrective append) and is attributed to the kRebuild span.
+      StatusOr<AppendResult> rebuilt = RebuildPage(*paddr, t, page);
+      if (rebuilt.ok()) {
+        result.op.issue_ns = t;
+        result.op.finish_ns = rebuilt->op.finish_ns;
+        result.rebuild_ns = rebuilt->op.finish_ns - t;
+        continue;
       }
     }
+    // Retries exhausted (transient) or the page failed its CRC (permanent): surface
+    // the typed status instead of aborting; the rest of the device stays readable.
+    ++stats_.user_read_errors;
+    return op.status();
   }
-  if (!paddrs.empty()) {
-    std::vector<std::vector<uint8_t>> data;
-    std::vector<NandOp> ops;
-    const Status batch_status =
-        device_->ReadBatch(paddrs, issue_ns, nullptr,
-                           data_out != nullptr ? &data : nullptr, &ops, mapped_issue);
-    size_t done = ops.size();
-    for (size_t k = 0; k < done; ++k) {
-      results[mapped[k]].op = ops[k];
-      if (data_out != nullptr) {
-        (*data_out)[mapped[k]] = std::move(data[k]);
-      }
-    }
-    if (!batch_status.ok()) {
-      // The batch tore at `done`: fall back to per-page reads with bounded retry for
-      // the remainder so one transient fault doesn't fail the whole vectored read.
-      for (size_t k = done; k < mapped.size(); ++k) {
-        std::vector<uint8_t> page;
-        StatusOr<NandOp> op = device_->ReadPageWithRetry(
-            paddrs[k], IssueAt(mapped[k]), nullptr,
-            data_out != nullptr ? &page : nullptr, config_.read_retry_limit);
-        if (op.ok()) {
-          results[mapped[k]].op = *op;
-        } else if (op.status().code() == StatusCode::kDataLoss &&
-                   config_.parity_stripe > 0) {
-          // Same escalation as the scalar read path: try a stripe rebuild before
-          // failing the whole vectored read with data loss.
-          StatusOr<AppendResult> rebuilt = RebuildPage(
-              paddrs[k], IssueAt(mapped[k]), data_out != nullptr ? &page : nullptr);
-          if (!rebuilt.ok()) {
-            ++stats_.user_read_errors;
-            return op.status();
-          }
-          results[mapped[k]].op.issue_ns = IssueAt(mapped[k]);
-          results[mapped[k]].op.finish_ns = rebuilt->op.finish_ns;
-          results[mapped[k]].rebuild_ns = rebuilt->op.finish_ns - IssueAt(mapped[k]);
-        } else {
-          ++stats_.user_read_errors;
-          return op.status();
-        }
-        if (data_out != nullptr) {
-          (*data_out)[mapped[k]] = std::move(page);
-        }
-      }
-    }
-  }
-  if (attributor_ != nullptr) {
-    for (size_t i = 0; i < lbas.size(); ++i) {
-      RecordLatency(LatencyOpKind::kRead, lbas[i], results[i]);
-    }
-  }
-  if (trace_ != nullptr) {
-    for (size_t i = 0; i < lbas.size(); ++i) {
+  for (size_t i = 0; i < lbas.size(); ++i) {
+    RecordLatency(LatencyOpKind::kRead, lbas[i], results[i]);
+    if (trace_ != nullptr) {
       trace_->Record(TraceEventType::kUserRead, IssueAt(i), results[i].CompletionNs(),
-                     lbas[i], view.view_id);
-    }
-    if (!lbas.empty()) {
-      trace_->Record(TraceEventType::kUserBatch, issue_ns, issue_ns, lbas.size(),
-                     view.view_id);
+                     lbas[i], view_id);
     }
   }
-  return results;
+  return OkStatus();
 }
 
-StatusOr<IoResult> Ftl::Write(uint64_t lba, std::span<const uint8_t> data,
-                              uint64_t issue_ns) {
-  return WriteInternal(FindView(kPrimaryView), lba, data, issue_ns);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::WriteV(std::span<const WriteRequest> requests,
-                                            uint64_t issue_ns) {
-  return WriteVInternal(FindView(kPrimaryView), requests, issue_ns);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::ReadV(std::span<const uint64_t> lbas,
-                                           uint64_t issue_ns,
-                                           std::vector<std::vector<uint8_t>>* data_out) {
-  return ReadVInternal(*FindView(kPrimaryView), lbas, issue_ns, data_out);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::WriteVAt(std::span<const WriteRequest> requests,
-                                              uint64_t issue_ns,
-                                              std::span<const uint64_t> issue_at) {
-  RETURN_IF_ERROR(CheckIssueAt(requests.size(), issue_at));
-  return WriteVInternal(FindView(kPrimaryView), requests, issue_ns, issue_at);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::ReadVAt(std::span<const uint64_t> lbas,
-                                             uint64_t issue_ns,
-                                             std::span<const uint64_t> issue_at,
-                                             std::vector<std::vector<uint8_t>>* data_out) {
-  RETURN_IF_ERROR(CheckIssueAt(lbas.size(), issue_at));
-  return ReadVInternal(*FindView(kPrimaryView), lbas, issue_ns, data_out, issue_at);
-}
-
-StatusOr<IoResult> Ftl::Read(uint64_t lba, uint64_t issue_ns,
-                             std::vector<uint8_t>* data_out) {
-  return ReadInternal(*FindView(kPrimaryView), lba, issue_ns, data_out);
-}
-
-StatusOr<IoResult> Ftl::Trim(uint64_t lba, uint64_t count, uint64_t issue_ns) {
-  if (closed_) {
-    return FailedPrecondition("ftl: closed");
-  }
-  if (count == 0 || lba + count > lba_count_ || count > 0xffffffffULL) {
-    return OutOfRange("trim: bad range");
-  }
-  RETURN_IF_ERROR(CheckWritable(issue_ns));
-  View* view = FindView(kPrimaryView);
-  RETURN_IF_ERROR(EnsureAppendSpace(issue_ns));
-  validity_.NoteTimeNs(issue_ns);
-
-  PageHeader header;
-  header.type = RecordType::kTrim;
-  header.lba = lba;
-  header.epoch = view->epoch;
-  header.seq = NextSeq();
-  header.trim_count = static_cast<uint32_t>(count);
-  ASSIGN_OR_RETURN(AppendResult ar, log_.Append(LogManager::kActiveHead, header, {},
-                                                issue_ns));
-  ++stats_.total_pages_programmed;
-
-  uint64_t host_ns = config_.host_note_ns;
-  uint64_t map_ns = 0;
-  uint64_t cow_ns = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::optional<uint64_t> old_paddr = view->map.Lookup(lba + i);
-    if (old_paddr.has_value()) {
-      const uint64_t cow = validity_.ClearValid(view->epoch, *old_paddr);
-      view->map.Erase(lba + i);
-      host_ns += config_.host_map_update_ns + config_.host_bitmap_update_ns +
-                 cow * config_.host_cow_ns_per_byte;
-      map_ns += config_.host_map_update_ns;
-      cow_ns += cow * config_.host_cow_ns_per_byte;
-    }
-  }
-  ++stats_.user_trims;
-
-  IoResult result;
-  result.op = ar.op;
-  result.host_ns = host_ns;
-  result.host_map_ns = map_ns;
-  result.host_cow_ns = cow_ns;
-  RecordLatency(LatencyOpKind::kTrim, lba, result);
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kUserTrim, issue_ns, result.CompletionNs(), lba, count);
-  }
-  return result;
-}
-
-StatusOr<std::vector<IoResult>> Ftl::TrimV(std::span<const TrimRequest> requests,
-                                           uint64_t issue_ns) {
-  return TrimVAt(requests, issue_ns, {});
-}
-
-StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> requests,
-                                             uint64_t issue_ns,
-                                             std::span<const uint64_t> issue_at) {
+Status Ftl::TrimRanges(std::span<const TrimRequest> requests, uint64_t issue_ns,
+                       std::span<const uint64_t> issue_at, IoResult* results) {
   const auto IssueAt = [&](size_t i) {
     return issue_at.empty() ? issue_ns : issue_at[i];
   };
@@ -781,13 +516,8 @@ StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> reques
   }
   RETURN_IF_ERROR(CheckWritable(issue_ns));
   View* view = FindView(kPrimaryView);
-  std::vector<IoResult> results;
-  results.reserve(requests.size());
-  if (requests.empty()) {
-    return results;
-  }
 
-  std::vector<LogManager::AppendRequest> appends;
+  WriteScratch& s = scratch_;
   size_t next = 0;
   while (next < requests.size()) {
     RETURN_IF_ERROR(EnsureAppendSpace(IssueAt(next)));
@@ -795,7 +525,7 @@ StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> reques
     // Trims never pace the cleaner, so only append room limits the note run.
     const uint64_t run = std::min<uint64_t>(
         requests.size() - next, std::max<uint64_t>(1, log_.ActiveHeadFreePages()));
-    appends.clear();
+    s.appends.clear();
     for (uint64_t i = 0; i < run; ++i) {
       const TrimRequest& r = requests[next + i];
       PageHeader header;
@@ -804,15 +534,15 @@ StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> reques
       header.epoch = view->epoch;
       header.seq = NextSeq();
       header.trim_count = static_cast<uint32_t>(r.count);
-      appends.push_back({header, {}});
+      s.appends.push_back({header, {}});
     }
-    std::vector<AppendResult> ars;
+    s.appended.clear();
     const Status append_status =
-        log_.AppendBatch(LogManager::kActiveHead, appends, IssueAt(next), &ars,
+        log_.AppendBatch(LogManager::kActiveHead, s.appends, IssueAt(next), &s.appended,
                          issue_at.empty() ? std::span<const uint64_t>{}
                                           : issue_at.subspan(next, run));
-    // Apply only the durably appended prefix (see WriteVInternal).
-    const uint64_t done = ars.size();
+    // Apply only the durably appended prefix (see WritePages).
+    const uint64_t done = s.appended.size();
 
     for (uint64_t i = 0; i < done; ++i) {
       const TrimRequest& r = requests[next + i];
@@ -833,8 +563,9 @@ StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> reques
       }
       ++stats_.user_trims;
 
-      IoResult result;
-      result.op = ars[i].op;
+      IoResult& result = results[next + i];
+      result = IoResult{};
+      result.op = s.appended[i].op;
       result.host_ns = host_ns;
       result.host_map_ns = map_ns;
       result.host_cow_ns = cow_ns;
@@ -843,18 +574,53 @@ StatusOr<std::vector<IoResult>> Ftl::TrimVAt(std::span<const TrimRequest> reques
         trace_->Record(TraceEventType::kUserTrim, IssueAt(next + i), result.CompletionNs(),
                        r.lba, r.count);
       }
-      results.push_back(result);
     }
     next += done;
-    if (!append_status.ok()) {
-      return append_status;
-    }
+    RETURN_IF_ERROR(append_status);
   }
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kUserBatch, issue_ns, issue_ns, requests.size(),
-                   kPrimaryView);
+  return OkStatus();
+}
+
+StatusOr<std::vector<IoResult>> Ftl::FinishBatch(const Status& status,
+                                                 std::vector<IoResult> results,
+                                                 uint64_t issue_ns, uint32_t view_id) {
+  RETURN_IF_ERROR(status);
+  if (trace_ != nullptr && !results.empty()) {
+    trace_->Record(TraceEventType::kUserBatch, issue_ns, issue_ns, results.size(), view_id);
   }
   return results;
+}
+
+StatusOr<std::vector<IoResult>> Ftl::WriteViewV(uint32_t view_id,
+                                                std::span<const WriteRequest> requests,
+                                                uint64_t issue_ns,
+                                                std::span<const uint64_t> issue_at) {
+  std::vector<IoResult> results(requests.size());
+  const Status status = WritePages(view_id, requests, issue_ns, issue_at, results.data());
+  return FinishBatch(status, std::move(results), issue_ns, view_id);
+}
+
+StatusOr<std::vector<IoResult>> Ftl::ReadViewV(uint32_t view_id,
+                                               std::span<const uint64_t> lbas,
+                                               uint64_t issue_ns,
+                                               std::vector<std::vector<uint8_t>>* data_out,
+                                               std::span<const uint64_t> issue_at) {
+  std::vector<IoResult> results(lbas.size());
+  if (data_out != nullptr) {
+    data_out->assign(lbas.size(), {});
+  }
+  const Status status =
+      ReadPages(view_id, lbas, issue_ns, issue_at, results.data(),
+                data_out != nullptr ? data_out->data() : nullptr);
+  return FinishBatch(status, std::move(results), issue_ns, view_id);
+}
+
+StatusOr<std::vector<IoResult>> Ftl::TrimV(std::span<const TrimRequest> requests,
+                                           uint64_t issue_ns,
+                                           std::span<const uint64_t> issue_at) {
+  std::vector<IoResult> results(requests.size());
+  const Status status = TrimRanges(requests, issue_ns, issue_at, results.data());
+  return FinishBatch(status, std::move(results), issue_ns, kPrimaryView);
 }
 
 bool Ftl::IsMapped(uint64_t lba) const {
@@ -1116,45 +882,6 @@ std::vector<uint32_t> Ftl::ActiveViewIds() const {
     out.push_back(id);
   }
   return out;
-}
-
-StatusOr<IoResult> Ftl::ReadView(uint32_t view_id, uint64_t lba, uint64_t issue_ns,
-                                 std::vector<uint8_t>* data_out) {
-  const View* view = FindView(view_id);
-  if (view == nullptr) {
-    return NotFound("view " + std::to_string(view_id) + " does not exist");
-  }
-  return ReadInternal(*view, lba, issue_ns, data_out);
-}
-
-StatusOr<IoResult> Ftl::WriteView(uint32_t view_id, uint64_t lba,
-                                  std::span<const uint8_t> data, uint64_t issue_ns) {
-  View* view = FindView(view_id);
-  if (view == nullptr) {
-    return NotFound("view " + std::to_string(view_id) + " does not exist");
-  }
-  return WriteInternal(view, lba, data, issue_ns);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::ReadViewV(uint32_t view_id,
-                                               std::span<const uint64_t> lbas,
-                                               uint64_t issue_ns,
-                                               std::vector<std::vector<uint8_t>>* data_out) {
-  const View* view = FindView(view_id);
-  if (view == nullptr) {
-    return NotFound("view " + std::to_string(view_id) + " does not exist");
-  }
-  return ReadVInternal(*view, lbas, issue_ns, data_out);
-}
-
-StatusOr<std::vector<IoResult>> Ftl::WriteViewV(uint32_t view_id,
-                                                std::span<const WriteRequest> requests,
-                                                uint64_t issue_ns) {
-  View* view = FindView(view_id);
-  if (view == nullptr) {
-    return NotFound("view " + std::to_string(view_id) + " does not exist");
-  }
-  return WriteVInternal(view, requests, issue_ns);
 }
 
 void Ftl::PumpBackground(uint64_t now_ns) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -147,50 +148,56 @@ class Ftl {
   const LogManager& log_manager() const { return log_; }
   uint64_t LbaCount() const { return lba_count_; }
 
-  // --- Primary block-device I/O (one page per call) ---
+  // --- Block-device I/O (see DESIGN.md "Vectored I/O and batching") ---
+  //
+  // One implementation per op kind (WritePages, ReadPages, TrimRanges) serves every
+  // entry point below; the one-request forms are thin wrappers that keep their result
+  // on the stack. Requests apply in submission order and later requests observe
+  // earlier requests' effects (duplicate LBAs behave as if issued back-to-back). A
+  // vectored call is not atomic: an error mid-batch leaves earlier requests applied and
+  // returns only the status. Its requests are issued at `issue_ns`, or request i at
+  // issue_at[i] when `issue_at` is given (one non-decreasing time per request, else
+  // kInvalidArgument; issue_ns must not exceed issue_at[0]) — the io_queue layer uses
+  // that so ops admitted by different queues at different times share one ordered
+  // commit pass. State, stats and per-request results are bit-identical to issuing the
+  // same requests one by one at the same times; only a vectored call records a
+  // kUserBatch trace event.
+  //
+  // Reads: each mapped page is read once with bounded retry (config.read_retry_limit
+  // attempts in total). A CRC failure (kDataLoss) goes to a parity rebuild when
+  // config.parity_stripe is set; otherwise, or when the rebuild fails, the read fails
+  // with the device's status. Unmapped LBAs read as zeroes without device work.
 
-  StatusOr<IoResult> Write(uint64_t lba, std::span<const uint8_t> data, uint64_t issue_ns);
-  StatusOr<IoResult> Read(uint64_t lba, uint64_t issue_ns, std::vector<uint8_t>* data_out);
+  StatusOr<IoResult> Write(uint64_t lba, std::span<const uint8_t> data, uint64_t issue_ns) {
+    return WriteView(kPrimaryView, lba, data, issue_ns);
+  }
+  StatusOr<IoResult> Read(uint64_t lba, uint64_t issue_ns, std::vector<uint8_t>* data_out) {
+    return ReadView(kPrimaryView, lba, issue_ns, data_out);
+  }
   // Discards [lba, lba + count). Logged as a single trim note.
-  StatusOr<IoResult> Trim(uint64_t lba, uint64_t count, uint64_t issue_ns);
+  StatusOr<IoResult> Trim(uint64_t lba, uint64_t count, uint64_t issue_ns) {
+    const TrimRequest request{lba, count};
+    IoResult result;
+    RETURN_IF_ERROR(TrimRanges({&request, 1}, issue_ns, {}, &result));
+    return result;
+  }
   bool IsMapped(uint64_t lba) const;
 
-  // --- Vectored I/O (see DESIGN.md "Vectored I/O and batching") ---
-  //
-  // Every request in a batch is issued at `issue_ns`; the device schedules the whole
-  // batch in one virtual-clock pass, so per-request device times overlap across
-  // channels. A batch is not atomic: requests apply in submission order, later requests
-  // observe earlier requests' effects (duplicate LBAs behave as if written
-  // back-to-back), and an error mid-batch leaves earlier requests applied. State,
-  // stats, and per-request results are bit-identical to issuing the same requests
-  // one-by-one at the same issue time; a batch of one is the scalar call.
   StatusOr<std::vector<IoResult>> WriteV(std::span<const WriteRequest> requests,
-                                         uint64_t issue_ns);
+                                         uint64_t issue_ns,
+                                         std::span<const uint64_t> issue_at = {}) {
+    return WriteViewV(kPrimaryView, requests, issue_ns, issue_at);
+  }
   // `data_out` (optional) receives one page buffer per lba, in submission order.
   StatusOr<std::vector<IoResult>> ReadV(std::span<const uint64_t> lbas, uint64_t issue_ns,
-                                        std::vector<std::vector<uint8_t>>* data_out);
+                                        std::vector<std::vector<uint8_t>>* data_out,
+                                        std::span<const uint64_t> issue_at = {}) {
+    return ReadViewV(kPrimaryView, lbas, issue_ns, data_out, issue_at);
+  }
   // One trim note per request.
   StatusOr<std::vector<IoResult>> TrimV(std::span<const TrimRequest> requests,
-                                        uint64_t issue_ns);
-
-  // --- Vectored I/O with per-request issue times (multi-queue submission) ---
-  //
-  // Identical to WriteV/ReadV/TrimV except each request i is issued at issue_at[i]
-  // (must be size requests.size() and non-decreasing; issue_ns still stamps the batch
-  // trace event and must be <= issue_at[0]). The io_queue layer uses these so ops
-  // admitted by different queues at different times share one ordered commit pass.
-  // Passing an empty issue_at span (or a span of issue_ns copies) is bit-identical to
-  // the plain vectored call.
-  StatusOr<std::vector<IoResult>> WriteVAt(std::span<const WriteRequest> requests,
-                                           uint64_t issue_ns,
-                                           std::span<const uint64_t> issue_at);
-  StatusOr<std::vector<IoResult>> ReadVAt(std::span<const uint64_t> lbas,
-                                          uint64_t issue_ns,
-                                          std::span<const uint64_t> issue_at,
-                                          std::vector<std::vector<uint8_t>>* data_out);
-  StatusOr<std::vector<IoResult>> TrimVAt(std::span<const TrimRequest> requests,
-                                          uint64_t issue_ns,
-                                          std::span<const uint64_t> issue_at);
+                                        uint64_t issue_ns,
+                                        std::span<const uint64_t> issue_at = {});
 
   // --- Snapshot operations (§5.8) ---
 
@@ -217,18 +224,30 @@ class Ftl {
   std::vector<uint32_t> ActiveViewIds() const;
 
   // --- View I/O (activated snapshots; kPrimaryView aliases Read/Write) ---
+  //
+  // Same contract as the primary forms above; an unknown view is kNotFound.
 
   StatusOr<IoResult> ReadView(uint32_t view_id, uint64_t lba, uint64_t issue_ns,
-                              std::vector<uint8_t>* data_out);
+                              std::vector<uint8_t>* data_out) {
+    IoResult result;
+    RETURN_IF_ERROR(ReadPages(view_id, {&lba, 1}, issue_ns, {}, &result, data_out));
+    return result;
+  }
   StatusOr<IoResult> WriteView(uint32_t view_id, uint64_t lba, std::span<const uint8_t> data,
-                               uint64_t issue_ns);
-  // Vectored forms; same contract as WriteV/ReadV.
+                               uint64_t issue_ns) {
+    const WriteRequest request{lba, data};
+    IoResult result;
+    RETURN_IF_ERROR(WritePages(view_id, {&request, 1}, issue_ns, {}, &result));
+    return result;
+  }
   StatusOr<std::vector<IoResult>> ReadViewV(uint32_t view_id, std::span<const uint64_t> lbas,
                                             uint64_t issue_ns,
-                                            std::vector<std::vector<uint8_t>>* data_out);
+                                            std::vector<std::vector<uint8_t>>* data_out,
+                                            std::span<const uint64_t> issue_at = {});
   StatusOr<std::vector<IoResult>> WriteViewV(uint32_t view_id,
                                              std::span<const WriteRequest> requests,
-                                             uint64_t issue_ns);
+                                             uint64_t issue_ns,
+                                             std::span<const uint64_t> issue_at = {});
 
   // --- Background machinery ---
 
@@ -307,22 +326,24 @@ class Ftl {
 
   Ftl(const FtlConfig& config, std::unique_ptr<NandDevice> device);
 
-  // Common path for primary and view writes.
-  StatusOr<IoResult> WriteInternal(View* view, uint64_t lba, std::span<const uint8_t> data,
-                                   uint64_t issue_ns);
-  StatusOr<IoResult> ReadInternal(const View& view, uint64_t lba, uint64_t issue_ns,
-                                  std::vector<uint8_t>* data_out);
-  // `issue_at` (empty, or one non-decreasing time per request) gives each request its
-  // own issue time; empty means "all at issue_ns".
-  StatusOr<std::vector<IoResult>> WriteVInternal(View* view,
-                                                 std::span<const WriteRequest> requests,
-                                                 uint64_t issue_ns,
-                                                 std::span<const uint64_t> issue_at = {});
-  StatusOr<std::vector<IoResult>> ReadVInternal(const View& view,
-                                                std::span<const uint64_t> lbas,
-                                                uint64_t issue_ns,
-                                                std::vector<std::vector<uint8_t>>* data_out,
-                                                std::span<const uint64_t> issue_at = {});
+  // The one implementation per op kind behind every I/O entry point. Request i is
+  // issued at issue_at[i] (or at issue_ns when issue_at is empty) and its completion is
+  // written to results[i]; `results` (and `data_out`, when non-null) hold one element
+  // per request. On error the status is returned and the results are unspecified.
+  Status WritePages(uint32_t view_id, std::span<const WriteRequest> requests,
+                    uint64_t issue_ns, std::span<const uint64_t> issue_at,
+                    IoResult* results);
+  Status ReadPages(uint32_t view_id, std::span<const uint64_t> lbas, uint64_t issue_ns,
+                   std::span<const uint64_t> issue_at, IoResult* results,
+                   std::vector<uint8_t>* data_out);
+  // Primary view only: one trim note per request.
+  Status TrimRanges(std::span<const TrimRequest> requests, uint64_t issue_ns,
+                    std::span<const uint64_t> issue_at, IoResult* results);
+  // The vectored entry points' common tail: passes the core's status through, and on
+  // success records the submission's kUserBatch trace event.
+  StatusOr<std::vector<IoResult>> FinishBatch(const Status& status,
+                                              std::vector<IoResult> results,
+                                              uint64_t issue_ns, uint32_t view_id);
 
   // Ensures the active head can append, running synchronous emergency cleaning if the
   // free pool is exhausted. Returns the device-time horizon the caller must wait behind.
@@ -401,6 +422,17 @@ class Ftl {
   // always false when both degraded_* floors are 0 (the default), so the gate in the
   // write path is a single always-false branch on default configs.
   bool degraded_ = false;
+
+  // Scratch reused across write and trim calls, so a one-request call allocates none.
+  struct WriteScratch {
+    std::vector<LogManager::AppendRequest> appends;
+    std::vector<AppendResult> appended;
+    std::vector<std::pair<uint64_t, uint64_t>> entries;
+    std::vector<std::optional<uint64_t>> old_paddrs;
+    std::vector<ValidityMap::BitOp> bit_ops;
+    std::vector<size_t> op_begin;
+  };
+  WriteScratch scratch_;
 
   std::vector<std::unique_ptr<ActivationTask>> activations_;
   // Relocation journal: (lba, new_paddr) for every data page the cleaner copy-forwards

@@ -134,7 +134,7 @@ Status IoQueueLayer::CommitRun(size_t begin, size_t len) {
         reqs[i].lba = pending_[begin + i].lba;
         reqs[i].data = pending_[begin + i].data;
       }
-      auto r = ftl_->WriteVAt(reqs, issue_ns, issue_at);
+      auto r = ftl_->WriteV(reqs, issue_ns, issue_at);
       if (r.ok()) {
         results = std::move(*r);
       } else {
@@ -147,7 +147,7 @@ Status IoQueueLayer::CommitRun(size_t begin, size_t len) {
       for (size_t i = 0; i < len; ++i) {
         lbas[i] = pending_[begin + i].lba;
       }
-      auto r = ftl_->ReadVAt(lbas, issue_ns, issue_at, &read_data);
+      auto r = ftl_->ReadV(lbas, issue_ns, &read_data, issue_at);
       if (r.ok()) {
         results = std::move(*r);
       } else {
@@ -161,7 +161,7 @@ Status IoQueueLayer::CommitRun(size_t begin, size_t len) {
         reqs[i].lba = pending_[begin + i].lba;
         reqs[i].count = pending_[begin + i].count;
       }
-      auto r = ftl_->TrimVAt(reqs, issue_ns, issue_at);
+      auto r = ftl_->TrimV(reqs, issue_ns, issue_at);
       if (r.ok()) {
         results = std::move(*r);
       } else {

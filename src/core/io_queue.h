@@ -5,8 +5,8 @@
 // kResourceExhausted when the queue already has `iodepth` submissions in flight).
 // Actual device work happens at Flush(), which commits every pending op in global
 // submission order — maximal same-kind runs, possibly spanning submissions from
-// different queues, collapse into single WriteVAt/ReadVAt/TrimVAt calls whose
-// per-op issue times are the ops' own admission times. Completions surface out of
+// different queues, collapse into single WriteV/ReadV/TrimV calls whose per-op issue
+// times (`issue_at`) are the ops' own admission times. Completions surface out of
 // order through PollCompletions() (everything whose virtual completion time has
 // passed, ordered by (completion time, op id)) or Drain(). Undelivered completions sit
 // in a min-heap on that key, so delivering one costs O(log n) in the ops in flight.

@@ -315,9 +315,9 @@ Status LogManager::AppendBatch(int head, std::span<const AppendRequest> requests
   Head& h = HeadFor(head);
   results_out->reserve(results_out->size() + requests.size());
 
-  std::vector<NandDevice::ProgramRequest> run;
-  std::vector<uint64_t> run_paddrs;
-  std::vector<NandOp> run_ops;
+  std::vector<NandDevice::ProgramRequest>& run = batch_run_;
+  std::vector<uint64_t>& run_paddrs = batch_paddrs_;
+  std::vector<NandOp>& run_ops = batch_ops_;
   size_t next = 0;
   int reroutes = 0;
   while (next < requests.size()) {

@@ -219,6 +219,10 @@ class LogManager {
   uint64_t use_counter_ = 0;
   LogStats stats_;
   TraceRecorder* trace_ = nullptr;
+  // AppendBatch scratch, reused so a one-record batch allocates nothing.
+  std::vector<NandDevice::ProgramRequest> batch_run_;
+  std::vector<uint64_t> batch_paddrs_;
+  std::vector<NandOp> batch_ops_;
 };
 
 }  // namespace iosnap

@@ -31,6 +31,12 @@ size_t ShardedMap::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> en
   if (shards_.size() == 1) {
     return shards_[0]->tree.InsertBatch(entries, old_values);
   }
+  if (entries.size() == 1) {
+    // A one-entry batch (a scalar write) touches one shard: skip the partitioning.
+    Shard& shard = *shards_[ShardOf(entries[0].first)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    return shard.tree.InsertBatch(entries, old_values);
+  }
   if (old_values != nullptr) {
     old_values->assign(entries.size(), std::nullopt);
   }

@@ -288,12 +288,17 @@ void ValidityMap::ApplyBatch(uint32_t epoch, std::span<BitOp> ops) {
   // mid-batch: a CoW leaves the old chunk referenced by its other epochs, so no
   // RegistryDropRef here ever retires live bits or dirties a range). Reordering across
   // chunks therefore cannot change any counter, plane, or per-op CoW charge.
-  std::vector<uint32_t> order(ops.size());
+  // The index tiebreak makes std::sort produce the stable order without stable_sort's
+  // temporary buffer; `order` is reused across calls, so a small batch allocates nothing.
+  std::vector<uint32_t>& order = batch_order_;
+  order.resize(ops.size());
   for (uint32_t i = 0; i < order.size(); ++i) {
     order[i] = i;
   }
-  std::stable_sort(order.begin(), order.end(), [this, &ops](uint32_t a, uint32_t b) {
-    return ChunkIndex(ops[a].paddr) < ChunkIndex(ops[b].paddr);
+  std::sort(order.begin(), order.end(), [this, &ops](uint32_t a, uint32_t b) {
+    const uint64_t ca = ChunkIndex(ops[a].paddr);
+    const uint64_t cb = ChunkIndex(ops[b].paddr);
+    return ca < cb || (ca == cb && a < b);
   });
   std::vector<uint64_t>& epoch_counts = epoch_count_.at(epoch);
 

@@ -283,6 +283,7 @@ class ValidityMap {
   mutable ValidityStats stats_;
   TraceRecorder* trace_ = nullptr;
   uint64_t trace_time_ns_ = 0;
+  std::vector<uint32_t> batch_order_;  // ApplyBatch scratch.
 };
 
 }  // namespace iosnap

@@ -305,56 +305,6 @@ StatusOr<NandOp> NandDevice::ReadCommit(uint64_t paddr, uint64_t issue_ns,
   return Occupy(ChannelOfPage(paddr), issue_ns, config_.bus_ns_per_page, config_.read_ns);
 }
 
-Status NandDevice::ReadBatch(std::span<const uint64_t> paddrs, uint64_t issue_ns,
-                             std::vector<PageHeader>* headers_out,
-                             std::vector<std::vector<uint8_t>>* data_out,
-                             std::vector<NandOp>* ops_out,
-                             std::span<const uint64_t> issue_at) {
-  IOSNAP_CHECK(issue_at.empty() || issue_at.size() == paddrs.size());
-  for (uint64_t paddr : paddrs) {
-    if (paddr >= config_.TotalPages()) {
-      return OutOfRange("read-batch: paddr out of range");
-    }
-    if (!pages_[paddr].programmed) {
-      return FailedPrecondition("read-batch: page " + std::to_string(paddr) +
-                                " is not programmed");
-    }
-  }
-
-  if (headers_out != nullptr) {
-    headers_out->reserve(headers_out->size() + paddrs.size());
-  }
-  if (data_out != nullptr) {
-    data_out->reserve(data_out->size() + paddrs.size());
-  }
-  if (ops_out != nullptr) {
-    ops_out->reserve(ops_out->size() + paddrs.size());
-  }
-  for (size_t i = 0; i < paddrs.size(); ++i) {
-    const uint64_t paddr = paddrs[i];
-    PageHeader header;
-    std::vector<uint8_t> data;
-    StatusOr<NandOp> op = ReadCommit(paddr, issue_at.empty() ? issue_ns : issue_at[i],
-                                     headers_out != nullptr ? &header : nullptr,
-                                     data_out != nullptr ? &data : nullptr);
-    if (!op.ok()) {
-      // The prefix already read stays in the out-vectors; the caller can fall back to
-      // per-page retries for the remainder.
-      return op.status();
-    }
-    if (headers_out != nullptr) {
-      headers_out->push_back(header);
-    }
-    if (data_out != nullptr) {
-      data_out->push_back(std::move(data));
-    }
-    if (ops_out != nullptr) {
-      ops_out->push_back(*op);
-    }
-  }
-  return OkStatus();
-}
-
 StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segment,
                                           uint64_t issue_ns, uint64_t* paddr_out) {
   if (src_paddr >= config_.TotalPages()) {
@@ -608,9 +558,6 @@ StatusOr<NandOp> NandDevice::ScanSegmentHeaders(
   RETURN_IF_ERROR(fault_.BeginOp());
   const SegmentState& seg = segments_[segment];
   const uint64_t first = FirstPageOf(segment);
-  if (out != nullptr) {
-    out->reserve(out->size() + seg.next_page);
-  }
   uint64_t scanned = 0;
   for (uint64_t i = 0; i < seg.next_page; ++i) {
     const PageState& page = pages_[first + i];

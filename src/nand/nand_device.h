@@ -127,17 +127,6 @@ class NandDevice {
   StatusOr<NandOp> ReadPage(uint64_t paddr, uint64_t issue_ns, PageHeader* header_out,
                             std::vector<uint8_t>* data_out);
 
-  // Reads a batch of programmed pages, all issued at `issue_ns` (one virtual-clock
-  // pass). Out-vectors, when non-null, receive one element per paddr in order. The
-  // whole batch is validated up front; a validation error reads nothing, while an
-  // injected fault mid-batch leaves the successfully read prefix in the out-vectors.
-  // `issue_at` as in ProgramBatch: per-paddr issue times for the multi-queue path.
-  Status ReadBatch(std::span<const uint64_t> paddrs, uint64_t issue_ns,
-                   std::vector<PageHeader>* headers_out,
-                   std::vector<std::vector<uint8_t>>* data_out,
-                   std::vector<NandOp>* ops_out,
-                   std::span<const uint64_t> issue_at = {});
-
   // On-die copyback: relocates the stored bytes of `src_paddr` (header + payload,
   // verbatim — the stored CRC travels with the page, so latent corruption stays
   // detectable) into the next free page of `dst_segment` without a host DMA. When

@@ -92,9 +92,13 @@ void LatencyAttributor::RegisterMetrics(MetricsRegistry* registry,
 std::string LatencyAttributor::ToCsv() const {
   std::string out;
   out.reserve(size() * 96 + 256);
-  out +=
-      "seq,kind,lba,issue_ns,complete_ns,total_ns,queue_wait_ns,gc_wait_ns,bus_ns,"
-      "cell_ns,map_ns,cow_ns,host_other_ns,rebuild_ns\n";
+  out += "seq,kind,lba,issue_ns,complete_ns,total_ns";
+  for (size_t s = 0; s < kNumLatencySpans; ++s) {
+    out += ",";
+    out += LatencySpanName(static_cast<LatencySpan>(s));
+    out += "_ns";
+  }
+  out += "\n";
   for (const SpanRecord& r : Records()) {
     AppendU64(&out, r.seq);
     out += ",";

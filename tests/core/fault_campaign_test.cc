@@ -1,6 +1,7 @@
 // Systematic fault-injection campaign: equivalence of the disabled fault layer,
-// a crash-consistency sweep over every scheduled device-op boundary, and a
-// random-fault soak with bad-block retirement.
+// a crash-consistency sweep over every scheduled device-op boundary, a
+// random-fault soak with bad-block retirement, and the one read rule that scalar
+// and vectored reads share.
 //
 // The sweep replays one deterministic snapshot-heavy script against a fresh
 // device per crash point K (the device goes offline after its Kth op), then
@@ -726,6 +727,73 @@ TEST(FaultCampaign, WearCampaignIsReproducible) {
   ASSERT_OK(entries_a.status());
   ASSERT_OK(entries_b.status());
   EXPECT_EQ(*entries_a, *entries_b);
+}
+
+// The read rule, whichever entry point reads: each mapped page is read once with
+// ReadPageWithRetry (at most read_retry_limit attempts), and a CRC failure is
+// reported, not re-read. A corrupt page costs Read and a one-element ReadV the same
+// single sense.
+TEST(ReadRule, CorruptPageIsReadOnceByReadAndReadV) {
+  FtlHarness scalar(SmallConfig());
+  FtlHarness vectored(SmallConfig());
+  for (FtlHarness* h : {&scalar, &vectored}) {
+    for (uint64_t lba = 0; lba < 16; ++lba) {
+      ASSERT_OK(h->Write(lba, 1));
+    }
+    auto entries = h->ftl().ViewMapEntries(kPrimaryView);
+    ASSERT_OK(entries.status());
+    h->ftl().MutableDeviceForTesting().CorruptPageForTesting((*entries)[5].second);
+  }
+  ASSERT_EQ(scalar.now(), vectored.now());
+  const uint64_t t = scalar.now();
+  const uint64_t crc_before = scalar.ftl().device().stats().crc_errors;
+  const uint64_t drain_before = scalar.ftl().device().DrainTimeNs();
+  ASSERT_EQ(vectored.ftl().device().stats().crc_errors, crc_before);
+  ASSERT_EQ(vectored.ftl().device().DrainTimeNs(), drain_before);
+
+  const uint64_t lba = 5;
+  EXPECT_EQ(scalar.ftl().Read(lba, t, nullptr).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(vectored.ftl().ReadV({&lba, 1}, t, nullptr).status().code(),
+            StatusCode::kDataLoss);
+
+  EXPECT_EQ(scalar.ftl().device().stats().crc_errors, crc_before + 1);
+  EXPECT_EQ(vectored.ftl().device().stats().crc_errors, crc_before + 1);
+  EXPECT_GT(scalar.ftl().device().DrainTimeNs(), drain_before);
+  EXPECT_EQ(vectored.ftl().device().DrainTimeNs() - drain_before,
+            scalar.ftl().device().DrainTimeNs() - drain_before);
+}
+
+// Under a 50% transient read-failure rate, Read and a one-element ReadV draw the same
+// fault dice in the same order, so every seed gives both the same status and the same
+// device counters, and neither makes more than read_retry_limit attempts.
+TEST(ReadRule, TransientFailuresRetryIdenticallyUpToTheLimit) {
+  constexpr uint64_t kLba = 3;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    FtlConfig config = TinyConfig();
+    config.read_retry_limit = 3;
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.read_fail_ppm = 500000;
+    plan.ApplyTo(&config);
+    FtlHarness scalar(config);
+    FtlHarness vectored(config);
+    ASSERT_OK(scalar.Write(kLba, 1));
+    ASSERT_OK(vectored.Write(kLba, 1));
+    const uint64_t t = scalar.now();
+    const StatusCode read = scalar.ftl().Read(kLba, t, nullptr).status().code();
+    const StatusCode readv =
+        vectored.ftl().ReadV({&kLba, 1}, t, nullptr).status().code();
+
+    const NandStats& a = scalar.ftl().device().stats();
+    const NandStats& b = vectored.ftl().device().stats();
+    ASSERT_EQ(read, readv) << "seed " << seed;
+    ASSERT_EQ(a.read_failures, b.read_failures) << "seed " << seed;
+    ASSERT_EQ(a.read_retries, b.read_retries) << "seed " << seed;
+    ASSERT_EQ(a.pages_read, b.pages_read) << "seed " << seed;
+    // One page, so every attempt either failed or read it.
+    ASSERT_LE(a.read_failures + a.pages_read, config.read_retry_limit) << "seed " << seed;
+    ASSERT_LE(b.read_failures + b.pages_read, config.read_retry_limit) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,37 @@
 // Basic block-device behaviour of the FTL: reads, writes, overwrites, trims, bounds,
-// garbage collection under pressure, and write amplification sanity.
+// garbage collection under pressure, write amplification sanity, and allocation-free
+// one-request calls.
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/core/ftl.h"
 #include "tests/test_util.h"
+
+namespace iosnap {
+namespace {
+
+// Heap allocations made by this test binary (see the replaced operator new below).
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+}  // namespace iosnap
+
+void* operator new(std::size_t size) {
+  iosnap::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair an inlined free() with the operator new call at
+// the use site and report a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace iosnap {
 namespace {
@@ -171,6 +197,34 @@ TEST(FtlBasicTest, ViewApiRejectsUnknownViews) {
   EXPECT_EQ(h.ftl().WriteView(42, 0, {}, 0).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(h.ftl().Deactivate(42, 0).code(), StatusCode::kNotFound);
   EXPECT_EQ(h.ftl().Deactivate(kPrimaryView, 0).code(), StatusCode::kInvalidArgument);
+}
+
+// Scalar calls run the shared vectored core on caller storage and reused scratch: once
+// the open segment, map entries and validity chunks exist, a write, read or trim of
+// one page performs no heap allocation.
+TEST(FtlBasicTest, OneRequestCallsAllocateNothing) {
+  FtlConfig config = SmallConfig();
+  config.nand.store_data = false;
+  FtlHarness h(config);
+  for (uint64_t lba = 0; lba < 8; ++lba) {
+    ASSERT_OK(h.Write(lba, 1));
+    ASSERT_OK(h.Write(lba, 2));  // An overwrite sizes the scratch for two bit flips.
+    ASSERT_OK(h.Trim(lba, 1));
+    ASSERT_OK(h.Write(lba, 3));
+  }
+  const uint64_t before = g_allocations.load();
+  uint64_t t = h.now();
+  bool ok = true;
+  for (uint64_t lba = 0; lba < 8; ++lba) {
+    ok = ok && h.ftl().Write(lba, {}, t).ok();
+    ok = ok && h.ftl().Read(lba, t, nullptr).ok();
+    ok = ok && h.ftl().Trim(lba, 1, t).ok();
+    ok = ok && h.ftl().Write(lba, {}, t).ok();
+    t += 1000000;
+  }
+  const uint64_t allocations = g_allocations.load() - before;
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // stress different mechanisms (chunk sizes, cleaner policies, naive bitmap mode, the
 // activation segment index).
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -18,6 +21,10 @@ struct PropertyParam {
   FtlConfig config;
   bool allow_restarts;
 };
+
+// Prints just the name. Without a printer gtest byte-dumps the struct, heap pointers
+// included, into every ctest name, and the names change with allocation order.
+void PrintTo(const PropertyParam& param, std::ostream* os) { *os << param.name; }
 
 FtlConfig WithChunkBits(FtlConfig config, uint64_t bits) {
   config.validity_chunk_bits = bits;

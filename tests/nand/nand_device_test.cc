@@ -1,5 +1,6 @@
 #include "src/nand/nand_device.h"
 
+#include <bit>
 #include <cstring>
 #include <tuple>
 
@@ -122,6 +123,34 @@ TEST(NandDeviceTest, ScanSegmentHeadersReturnsProgrammedPages) {
   EXPECT_EQ(out[2].second.lba, 12u);
   // Scan cost: 3 pages * header_scan_ns.
   EXPECT_EQ(op.finish_ns - op.issue_ns, 3 * dev.config().header_scan_ns_per_page);
+}
+
+// Recovery scans every segment into one vector, so appending must keep geometric
+// growth: a reserve of exactly the segment's pages would reallocate (and copy every
+// header scanned so far) once per segment.
+TEST(NandDeviceTest, ScanningManySegmentsIntoOneVectorReallocatesLogarithmically) {
+  NandConfig config = TestNand();
+  config.num_segments = 64;
+  NandDevice dev(config);
+  PageHeader header;
+  header.type = RecordType::kData;
+  for (uint64_t seg = 0; seg < config.num_segments; ++seg) {
+    for (uint64_t page = 0; page < config.pages_per_segment; ++page) {
+      uint64_t paddr = 0;
+      ASSERT_OK(dev.ProgramPage(seg, header, {}, 0, &paddr).status());
+    }
+  }
+  std::vector<std::pair<uint64_t, PageHeader>> out;
+  uint64_t reallocations = 0;
+  for (uint64_t seg = 0; seg < config.num_segments; ++seg) {
+    const auto* before = out.data();
+    ASSERT_OK(dev.ScanSegmentHeaders(seg, dev.DrainTimeNs(), &out).status());
+    reallocations += out.data() != before ? 1 : 0;
+  }
+  const uint64_t records = config.num_segments * config.pages_per_segment;
+  ASSERT_EQ(out.size(), records);
+  const uint64_t log2_records = std::bit_width(records) - 1;
+  EXPECT_LE(reallocations, 2 + log2_records);
 }
 
 TEST(NandDeviceTest, ChannelContentionSerializes) {
@@ -257,50 +286,6 @@ TEST(NandDeviceTest, ProgramBatchRejectsOverflowUpFront) {
   requests.resize(8);
   ASSERT_OK(dev.ProgramBatch(0, requests, 0, &paddrs, &ops));
   EXPECT_EQ(dev.NextFreePage(0), 8u);
-}
-
-TEST(NandDeviceTest, ReadBatchMatchesSequentialReads) {
-  NandDevice batched(TestNand());
-  NandDevice scalar(TestNand());
-  std::vector<uint64_t> paddrs;
-  for (uint64_t i = 0; i < 5; ++i) {
-    PageHeader header;
-    header.type = RecordType::kData;
-    header.lba = 100 + i;
-    const std::vector<uint8_t> data = PageData(512, 100 + i, 2);
-    uint64_t paddr = 0;
-    ASSERT_OK(batched.ProgramPage(0, header, data, 0, &paddr).status());
-    ASSERT_OK(scalar.ProgramPage(0, header, data, 0, &paddr).status());
-    paddrs.push_back(paddr);
-  }
-  // Read back in a scrambled order so the batch exercises non-monotonic channels.
-  std::swap(paddrs[0], paddrs[3]);
-  std::swap(paddrs[1], paddrs[4]);
-
-  constexpr uint64_t kIssue = 50000;
-  std::vector<PageHeader> headers;
-  std::vector<std::vector<uint8_t>> data;
-  std::vector<NandOp> ops;
-  ASSERT_OK(batched.ReadBatch(paddrs, kIssue, &headers, &data, &ops));
-  ASSERT_EQ(headers.size(), 5u);
-  ASSERT_EQ(data.size(), 5u);
-  ASSERT_EQ(ops.size(), 5u);
-
-  for (size_t i = 0; i < paddrs.size(); ++i) {
-    PageHeader header;
-    std::vector<uint8_t> page;
-    ASSERT_OK_AND_ASSIGN(NandOp op, scalar.ReadPage(paddrs[i], kIssue, &header, &page));
-    EXPECT_EQ(headers[i].lba, header.lba) << i;
-    EXPECT_EQ(data[i], page) << i;
-    EXPECT_EQ(ops[i].issue_ns, op.issue_ns) << i;
-    EXPECT_EQ(ops[i].finish_ns, op.finish_ns) << i;
-  }
-
-  // A bad paddr fails the whole batch before any device time is consumed.
-  const uint64_t drain_before = batched.DrainTimeNs();
-  std::vector<uint64_t> bad = {paddrs[0], TestNand().TotalPages()};
-  EXPECT_FALSE(batched.ReadBatch(bad, kIssue, nullptr, nullptr, &ops).ok());
-  EXPECT_EQ(batched.DrainTimeNs(), drain_before);
 }
 
 TEST(NandDeviceTest, CopybackSameChannelStaysOffBus) {

@@ -98,11 +98,6 @@ struct SpanRow {
   uint64_t span[kNumLatencySpans] = {};
 };
 
-// Span CSV column order after the six id columns; must match LatencyAttributor::ToCsv.
-const char* const kSpanColumns[kNumLatencySpans] = {
-    "queue_wait_ns", "gc_wait_ns", "bus_ns", "cell_ns", "map_ns", "cow_ns",
-    "host_other_ns"};
-
 bool ParseSpansCsv(const std::string& path, std::vector<SpanRow>* rows) {
   std::ifstream in(path);
   if (!in) {
@@ -117,8 +112,10 @@ bool ParseSpansCsv(const std::string& path, std::vector<SpanRow>* rows) {
   const std::vector<std::string> header = SplitCsvLine(line);
   std::vector<std::string> expected = {"seq",         "kind",     "lba",
                                        "issue_ns",    "complete_ns", "total_ns"};
-  for (const char* col : kSpanColumns) {
-    expected.push_back(col);
+  // One column per span after the six id columns, named as LatencyAttributor::ToCsv
+  // names them.
+  for (size_t s = 0; s < kNumLatencySpans; ++s) {
+    expected.push_back(std::string(LatencySpanName(static_cast<LatencySpan>(s))) + "_ns");
   }
   if (header != expected) {
     std::fprintf(stderr, "%s: unexpected header (not a --spans_out file?)\n",
@@ -438,17 +435,17 @@ int main(int argc, char** argv) {
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
                     [&](size_t a, size_t b) { return fg[a]->total_ns > fg[b]->total_ns; });
   std::printf("\n== top %zu slowest foreground ops ==\n", k);
-  std::printf("  %-5s %-10s %10s %9s | %9s %9s %9s %9s %7s %7s %7s (us)\n", "kind",
+  std::printf("  %-5s %-10s %10s %9s | %9s %9s %9s %9s %7s %7s %7s %9s (us)\n", "kind",
               "lba", "issue_us", "total_us", "q_wait", "gc_wait", "bus", "cell", "map",
-              "cow", "other");
+              "cow", "other", "rebuild");
   for (size_t i = 0; i < k; ++i) {
     const SpanRow& r = *fg[order[i]];
     std::printf("  %-5s %-10llu %10.1f %9.1f | %9.1f %9.1f %9.1f %9.1f %7.1f %7.1f "
-                "%7.1f\n",
+                "%7.1f %9.1f\n",
                 r.kind.c_str(), (unsigned long long)r.lba, NsToUs(r.issue_ns),
                 NsToUs(r.total_ns), NsToUs(r.span[0]), NsToUs(r.span[1]),
                 NsToUs(r.span[2]), NsToUs(r.span[3]), NsToUs(r.span[4]),
-                NsToUs(r.span[5]), NsToUs(r.span[6]));
+                NsToUs(r.span[5]), NsToUs(r.span[6]), NsToUs(r.span[7]));
   }
 
   if (!metrics_path.empty()) {
