@@ -98,9 +98,7 @@ uint64_t ActivationTask::BuildMap(uint64_t now_ns) {
 
   Ftl::View* view = ftl_->FindView(view_id_);
   IOSNAP_CHECK(view != nullptr);
-  // Keeps the view's shard partitioning: single-shard for snapshot views, the
-  // configured LBA sharding when rollback rebuilds the primary.
-  view->map.BulkLoadReplace(entries_);
+  view->map = BPlusTree::BulkLoad(entries_);
   view->ready = true;
   ftl_->stats_.activation_entries += entries_.size();
   entries_.clear();

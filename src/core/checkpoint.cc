@@ -1,5 +1,7 @@
 #include "src/core/checkpoint.h"
 
+#include <string>
+
 #include "src/common/serde.h"
 
 namespace iosnap {
@@ -36,7 +38,8 @@ std::vector<uint8_t> SerializeCheckpoint(const CheckpointState& state) {
   return out;
 }
 
-StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes) {
+StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes,
+                                          uint64_t total_pages) {
   size_t offset = 0;
   uint64_t magic = 0;
   uint32_t version = 0;
@@ -67,6 +70,15 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes) {
     uint64_t paddr = 0;
     RETURN_IF_ERROR(GetU64(bytes, &offset, &lba));
     RETURN_IF_ERROR(GetU64(bytes, &offset, &paddr));
+    if (i > 0 && lba <= state.primary_map.back().first) {
+      return DataLoss("checkpoint: map entry " + std::to_string(i) + ": lba " +
+                      std::to_string(lba) + " does not increase");
+    }
+    if (paddr >= total_pages) {
+      return DataLoss("checkpoint: map entry " + std::to_string(i) + ": paddr " +
+                      std::to_string(paddr) + " >= " + std::to_string(total_pages) +
+                      " device pages");
+    }
     state.primary_map.emplace_back(lba, paddr);
   }
 
@@ -85,6 +97,12 @@ StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes) {
     for (uint64_t j = 0; j < count; ++j) {
       uint64_t paddr = 0;
       RETURN_IF_ERROR(GetU64(bytes, &offset, &paddr));
+      if (paddr >= total_pages) {
+        return DataLoss("checkpoint: epoch " + std::to_string(epoch) +
+                        " validity entry " + std::to_string(j) + ": paddr " +
+                        std::to_string(paddr) + " >= " + std::to_string(total_pages) +
+                        " device pages");
+      }
       paddrs.push_back(paddr);
     }
     state.validity.emplace(epoch, std::move(paddrs));

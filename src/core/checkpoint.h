@@ -30,7 +30,11 @@ struct CheckpointState {
 
 std::vector<uint8_t> SerializeCheckpoint(const CheckpointState& state);
 
-StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes);
+// The bytes are untrusted. Besides framing errors, kDataLoss names the first map entry
+// whose lba does not strictly increase (the map bulk-loads as-is) and the first map or
+// validity paddr at or beyond `total_pages`, the device's page count.
+StatusOr<CheckpointState> ParseCheckpoint(const std::vector<uint8_t>& bytes,
+                                          uint64_t total_pages);
 
 }  // namespace iosnap
 

@@ -42,9 +42,6 @@ Status CheckIssueAt(size_t n, std::span<const uint64_t> issue_at) {
 Ftl::Ftl(const FtlConfig& config, std::unique_ptr<NandDevice> device)
     : config_(config),
       device_(std::move(device)),
-      map_pool_(config.map_update_threads > 0
-                    ? std::make_unique<WorkerPool>(config.map_update_threads)
-                    : nullptr),
       log_(device_.get(), config.gc_reserve_segments, config.parity_stripe),
       validity_(config.nand.TotalPages(), config.validity_chunk_bits,
                 config.naive_validity_copy, config.nand.pages_per_segment),
@@ -61,8 +58,8 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Create(const FtlConfig& config) {
   if (config.gc_reserve_segments + 1 >= config.nand.num_segments) {
     return InvalidArgument("ftl: GC reserve consumes the whole device");
   }
-  if (config.map_shards == 0) {
-    return InvalidArgument("ftl: map_shards must be >= 1");
+  if (config.map_update_threads != 0) {
+    return InvalidArgument("ftl: map_update_threads must be 0");
   }
   if (config.parity_stripe > 0 &&
       config.parity_stripe + 1 > config.nand.pages_per_segment) {
@@ -76,7 +73,6 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Create(const FtlConfig& config) {
   primary.epoch = kRootEpoch;
   primary.writable = true;
   primary.ready = true;
-  primary.map.Configure(config.map_shards, ftl->lba_count_, ftl->map_pool_.get());
   ftl->views_.emplace(kPrimaryView, std::move(primary));
   ftl->cleaner_ = std::make_unique<SegmentCleaner>(ftl.get());
   ftl->patrol_ = std::make_unique<PatrolScrubber>(ftl.get());
@@ -90,8 +86,8 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Open(const FtlConfig& config,
   if (device == nullptr) {
     return InvalidArgument("ftl: no device");
   }
-  if (config.map_shards == 0) {
-    return InvalidArgument("ftl: map_shards must be >= 1");
+  if (config.map_update_threads != 0) {
+    return InvalidArgument("ftl: map_update_threads must be 0");
   }
   if (config.parity_stripe > 0 &&
       config.parity_stripe + 1 > config.nand.pages_per_segment) {
@@ -123,8 +119,7 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Open(const FtlConfig& config,
   primary.epoch = ftl->active_epoch_;
   primary.writable = true;
   primary.ready = true;
-  primary.map.Configure(config.map_shards, ftl->lba_count_, ftl->map_pool_.get());
-  primary.map.BulkLoadReplace(state.primary_map);
+  primary.map = BPlusTree::BulkLoad(state.primary_map);
   ftl->views_.emplace(kPrimaryView, std::move(primary));
 
   ftl->log_.RebuildFromDevice();

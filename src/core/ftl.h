@@ -33,15 +33,14 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/worker_pool.h"
 #include "src/core/activation.h"
 #include "src/core/ftl_config.h"
 #include "src/core/ftl_stats.h"
 #include "src/core/segment_cleaner.h"
 #include "src/core/snapshot_tree.h"
+#include "src/ftl/btree.h"
 #include "src/ftl/log_manager.h"
 #include "src/ftl/rate_limiter.h"
-#include "src/ftl/sharded_map.h"
 #include "src/ftl/validity_map.h"
 #include "src/nand/nand_device.h"
 #include "src/obs/latency.h"
@@ -319,9 +318,7 @@ class Ftl {
     uint32_t epoch = 0;
     bool writable = false;
     bool ready = false;    // False while activation is still running.
-    // LBA-sharded for the primary view (config.map_shards); snapshot views keep the
-    // default single-shard form.
-    ShardedMap map;
+    BPlusTree map;
   };
 
   Ftl(const FtlConfig& config, std::unique_ptr<NandDevice> device);
@@ -393,9 +390,6 @@ class Ftl {
 
   FtlConfig config_;
   std::unique_ptr<NandDevice> device_;
-  // Host-side workers for parallel per-shard map updates (config.map_update_threads).
-  // Null when updates run inline; either way simulator state is bit-identical.
-  std::unique_ptr<WorkerPool> map_pool_;
   LogManager log_;
   ValidityMap validity_;
   SnapshotTree tree_;

@@ -57,14 +57,10 @@ struct FtlConfig {
   // regardless of its valid count, recycling it into the rotation. 0 disables.
   uint64_t wear_leveling_threshold = 0;
 
-  // --- Forward map sharding (multi-queue submission; see src/ftl/sharded_map.h) ---
-  // LBA-range shards in the primary view's forward map. 1 = a single tree (the legacy
-  // layout). Sharding never changes I/O results or timing — only which tree holds a
-  // key and the per-shard memory split reported for Table 3.
-  uint32_t map_shards = 4;
-  // Host worker threads for parallel per-shard batch updates. 0 (default) applies
-  // shard sub-batches inline on the simulation thread; any value yields bit-identical
-  // simulator state (the pool is host-side only).
+  // --- Forward map ---
+  // Each view's forward map is one BPlusTree, updated on the simulation thread. This
+  // field is kept only so configs that set it to 0 still compile: Create and Open
+  // reject any other value with kInvalidArgument.
   uint32_t map_update_threads = 0;
 
   // --- Error handling ---

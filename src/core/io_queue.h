@@ -11,16 +11,15 @@
 // passed, ordered by (completion time, op id)) or Drain(). Undelivered completions sit
 // in a min-heap on that key, so delivering one costs O(log n) in the ops in flight.
 //
-// Ordering invariants (see DESIGN.md "Multi-queue submission & sharded map"):
+// Ordering invariants (see DESIGN.md "Multi-queue submission"):
 //   * Commit order == global submission order, independent of queue count and depth.
 //     Out-of-orderness affects only *when completions are delivered*, never the order
 //     log appends, map updates, or validity flips apply. The final logical state of
 //     any run equals the same ops applied sequentially in submission order.
 //   * queues=1, iodepth=1 degenerates to one Flush per Submit with a uniform issue
 //     time — bit-identical to calling WriteV/ReadV/TrimV directly.
-//   * Validity-map CoW and segment allocation remain single-writer: they happen
-//     inside the ordered commit pass. Only per-shard forward-map updates fan out
-//     (ShardedMap; host-side threads, simulator-state neutral).
+//   * Forward-map updates, validity-map CoW and segment allocation all happen inside
+//     the ordered commit pass, on the one simulation thread.
 //
 // Error model: the vectored FTL calls report an error for a whole run (the durably
 // appended prefix is applied internally but its per-op results are not returned), so

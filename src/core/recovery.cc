@@ -123,7 +123,7 @@ StatusOr<bool> TryLoadCheckpoint(NandDevice* device,
     bytes.insert(bytes.end(), payload.begin(),
                  payload.begin() + group[i]->header.payload_len);
   }
-  auto parsed = ParseCheckpoint(bytes);
+  auto parsed = ParseCheckpoint(bytes, device->config().TotalPages());
   if (!parsed.ok()) {
     IOSNAP_LOG(kWarning) << "[recovery] checkpoint parse failed (" << parsed.status()
                          << "); running full recovery";

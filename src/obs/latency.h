@@ -12,7 +12,7 @@
 //                 (NandDevice background horizons, see NandOp::bg_wait_ns).
 //   bus         — actual bus transfer time.
 //   cell        — cell program/read time (plus scan/erase time for metadata ops).
-//   map         — host-side forward-map time (ShardedMap/B+tree lookup + update).
+//   map         — host-side forward-map time (B+tree lookup + update).
 //   cow         — host-side validity-bitmap copy-on-write time.
 //   host_other  — remaining host CPU charge (trim notes, bitmap flips, ...).
 //   rebuild     — time spent XOR-reconstructing an unreadable page from its parity

@@ -46,6 +46,17 @@ TEST(FtlBasicTest, CreateValidatesConfig) {
   EXPECT_FALSE(Ftl::Create(config).ok());
 }
 
+// The forward map is one tree on the simulation thread: a request for map-update
+// threads is a config error on both the create and the reopen path.
+TEST(FtlBasicTest, MapUpdateThreadsMustBeZero) {
+  FtlConfig config = SmallConfig();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
+  config.map_update_threads = 2;
+  EXPECT_EQ(Ftl::Create(config).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Ftl::Open(config, ftl->ReleaseDevice(), 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(FtlBasicTest, UnwrittenLbaReadsZeroes) {
   FtlHarness h(SmallConfig());
   EXPECT_TRUE(h.CheckLba(kPrimaryView, 0, 0));

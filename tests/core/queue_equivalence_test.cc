@@ -11,10 +11,6 @@
 //   4. Completion delivery order, per poll, matches digests recorded from the
 //      linear-scan layer the completion heap replaced; finding what is due reads a
 //      few entries per delivered op; a failed run aborts every later pending op.
-//
-// Sharding rides along: every Ftl here uses the default map_shards=4, and one
-// parameterization turns on map_update_threads so the parallel per-shard InsertBatch
-// path runs under the sanitizer jobs.
 
 #include <algorithm>
 #include <cstring>
@@ -320,14 +316,13 @@ TEST_P(QueueBitIdentityTest, SingleQueueDepthOneMatchesVectoredBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Groups, QueueBitIdentityTest,
                          ::testing::Values<size_t>(1, 8, 32));
 
-// (queues, iodepth, map_update_threads)
+// (queues, iodepth)
 class MultiQueueModelTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
 
 TEST_P(MultiQueueModelTest, LogicalStateMatchesSubmissionOrderModel) {
-  const auto [queues, iodepth, map_threads] = GetParam();
+  const auto [queues, iodepth] = GetParam();
   FtlConfig config = SmallConfig();
-  config.map_update_threads = map_threads;
   auto ftl_or = Ftl::Create(config);
   ASSERT_OK(ftl_or.status());
   std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
@@ -431,9 +426,9 @@ TEST_P(MultiQueueModelTest, LogicalStateMatchesSubmissionOrderModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MultiQueueModelTest,
-    ::testing::Values(std::make_tuple(1u, 8u, 0u), std::make_tuple(2u, 8u, 0u),
-                      std::make_tuple(2u, 32u, 2u), std::make_tuple(4u, 8u, 2u),
-                      std::make_tuple(4u, 32u, 0u)));
+    ::testing::Values(std::make_tuple(1u, 8u), std::make_tuple(2u, 8u),
+                      std::make_tuple(2u, 32u), std::make_tuple(4u, 8u),
+                      std::make_tuple(4u, 32u)));
 
 // Crash mid-run under multi-queue load; recovery must land on an exact
 // submission-order prefix of the write stream (single-page programs are atomic, runs

@@ -245,6 +245,9 @@ TEST(RecoveryTest, TornTailPageIsSkippedAndPriorStateSurvives) {
                 .status());
 }
 
+// Device page count the format tests parse against; every paddr they store is below it.
+constexpr uint64_t kCheckpointPages = 1024;
+
 TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
   CheckpointState state;
   state.seq_counter = 777;
@@ -257,7 +260,8 @@ TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
   state.validity[2] = {200};
 
   const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  ASSERT_OK_AND_ASSIGN(CheckpointState parsed, ParseCheckpoint(bytes));
+  ASSERT_OK_AND_ASSIGN(CheckpointState parsed,
+                       ParseCheckpoint(bytes, kCheckpointPages));
   EXPECT_EQ(parsed.seq_counter, 777u);
   EXPECT_EQ(parsed.active_epoch, 2u);
   EXPECT_EQ(parsed.primary_map, state.primary_map);
@@ -269,11 +273,12 @@ TEST(CheckpointFormatTest, CorruptionDetected) {
   CheckpointState state;
   std::vector<uint8_t> bytes = SerializeCheckpoint(state);
   bytes[0] ^= 0xff;  // Break the magic.
-  EXPECT_EQ(ParseCheckpoint(bytes).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ParseCheckpoint(bytes, kCheckpointPages).status().code(),
+            StatusCode::kDataLoss);
 
   std::vector<uint8_t> truncated = SerializeCheckpoint(state);
   truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(ParseCheckpoint(truncated).ok());
+  EXPECT_FALSE(ParseCheckpoint(truncated, kCheckpointPages).ok());
 }
 
 // Entry counts are untrusted: one the remaining bytes cannot hold is kDataLoss, not a
@@ -283,7 +288,7 @@ TEST(CheckpointFormatTest, HostileCountsAreDataLoss) {
   state.primary_map = {{1, 100}, {2, 200}};
   state.validity[0] = {100, 200};
   const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  ASSERT_OK(ParseCheckpoint(bytes).status());
+  ASSERT_OK(ParseCheckpoint(bytes, kCheckpointPages).status());
 
   // Layout: magic u64, version u32, seq u64, epoch u32, tree, map_count u64, entries,
   // epoch_count u32, then per epoch: epoch u32, count u64, paddrs.
@@ -296,13 +301,45 @@ TEST(CheckpointFormatTest, HostileCountsAreDataLoss) {
     for (size_t i = 0; i < 8; ++i) {
       mutated[offset + i] = static_cast<uint8_t>(value >> (8 * i));
     }
-    return ParseCheckpoint(mutated).status();
+    return ParseCheckpoint(mutated, kCheckpointPages).status();
   };
   ASSERT_OK(parse_with(map_count_at, state.primary_map.size()));
   ASSERT_OK(parse_with(paddr_count_at, state.validity[0].size()));
   for (const uint64_t count : {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 20}) {
     EXPECT_EQ(parse_with(map_count_at, count).code(), StatusCode::kDataLoss) << count;
     EXPECT_EQ(parse_with(paddr_count_at, count).code(), StatusCode::kDataLoss) << count;
+  }
+}
+
+// Map and validity entries are untrusted too: the map bulk-loads as stored, so its lbas
+// must strictly increase, and every paddr must name a page of the device.
+TEST(CheckpointFormatTest, HostileEntriesAreDataLoss) {
+  const auto parse = [](std::vector<std::pair<uint64_t, uint64_t>> map,
+                        std::vector<uint64_t> valid) {
+    CheckpointState state;
+    state.primary_map = std::move(map);
+    state.validity[0] = std::move(valid);
+    return ParseCheckpoint(SerializeCheckpoint(state), kCheckpointPages);
+  };
+  const uint64_t last = kCheckpointPages - 1;
+  ASSERT_OK_AND_ASSIGN(CheckpointState parsed, parse({{1, 10}, {2, last}}, {10, last}));
+  EXPECT_EQ(parsed.primary_map.back().second, last);
+  EXPECT_EQ(parsed.validity[0].back(), last);
+
+  const struct {
+    const char* what;
+    StatusOr<CheckpointState> result;
+    const char* names;
+  } cases[] = {
+      {"descending lbas", parse({{2, 10}, {1, 11}}, {10, 11}), "map entry 1"},
+      {"duplicate lba", parse({{1, 10}, {1, 11}}, {10, 11}), "map entry 1"},
+      {"map paddr", parse({{1, 10}, {2, kCheckpointPages}}, {10}), "map entry 1"},
+      {"validity paddr", parse({{1, 10}}, {10, kCheckpointPages}), "validity entry 1"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.result.status().code(), StatusCode::kDataLoss) << c.what;
+    EXPECT_NE(c.result.status().message().find(c.names), std::string::npos)
+        << c.what << ": " << c.result.status();
   }
 }
 

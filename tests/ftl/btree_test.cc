@@ -125,6 +125,28 @@ TEST(BPlusTreeTest, BulkLoadEmptyAndSingle) {
   EXPECT_TRUE(one.CheckInvariants());
 }
 
+// How a view's map is rebuilt (reopen, activation, rollback): assigning a bulk-loaded
+// tree drops every old entry, and the result takes scalar and batched updates.
+TEST(BPlusTreeTest, BulkLoadAssignmentReplacesContents) {
+  BPlusTree tree;
+  for (uint64_t k = 0; k < 1000; ++k) {
+    tree.Insert(k * 2 + 1, k);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  for (uint64_t k = 0; k < 500; ++k) {
+    pairs.emplace_back(k * 4, k + 7);
+  }
+  tree = BPlusTree::BulkLoad(pairs);
+  EXPECT_EQ(tree.ToSortedVector(), pairs);
+  EXPECT_FALSE(tree.Lookup(1).has_value());
+  EXPECT_TRUE(tree.Insert(1, 11));
+  const std::vector<std::pair<uint64_t, uint64_t>> batch = {{4, 44}, {3, 33}, {4, 45}};
+  EXPECT_EQ(tree.InsertBatch(batch), 1u);
+  EXPECT_EQ(tree.Lookup(4).value(), 45u);
+  EXPECT_EQ(tree.size(), pairs.size() + 2);
+  EXPECT_TRUE(tree.CheckInvariants());
+}
+
 TEST(BPlusTreeTest, BulkLoadIsMoreCompactThanRandomInserts) {
   // The Table 3 effect: an organically grown tree is fragmented; a bulk-loaded tree with
   // identical content packs its nodes full.

@@ -24,6 +24,7 @@
 //   iosnap_analyze --spans=spans.csv --trace=trace.csv --top=10
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,6 +89,21 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return fields;
 }
 
+// Reads a CSV field that must be an unsigned decimal filling the whole field. Anything
+// else (empty, a sign, trailing text, overflow) prints "path:line: bad <column> '<text>'"
+// and returns false, so a damaged file is an error rather than a silent 0.
+bool ReadU64Field(const std::string& path, size_t lineno, const std::string& column,
+                  const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec == std::errc() && ptr == end) {
+    return true;
+  }
+  std::fprintf(stderr, "%s:%zu: bad %s '%s'\n", path.c_str(), lineno, column.c_str(),
+               text.c_str());
+  return false;
+}
+
 struct SpanRow {
   uint64_t seq = 0;
   std::string kind;
@@ -135,14 +151,14 @@ bool ParseSpansCsv(const std::string& path, std::vector<SpanRow>* rows) {
       return false;
     }
     SpanRow row;
-    row.seq = std::strtoull(f[0].c_str(), nullptr, 10);
     row.kind = f[1];
-    row.lba = std::strtoull(f[2].c_str(), nullptr, 10);
-    row.issue_ns = std::strtoull(f[3].c_str(), nullptr, 10);
-    row.complete_ns = std::strtoull(f[4].c_str(), nullptr, 10);
-    row.total_ns = std::strtoull(f[5].c_str(), nullptr, 10);
-    for (size_t s = 0; s < kNumLatencySpans; ++s) {
-      row.span[s] = std::strtoull(f[6 + s].c_str(), nullptr, 10);
+    uint64_t* const id_fields[] = {&row.seq,      nullptr,          &row.lba,
+                                   &row.issue_ns, &row.complete_ns, &row.total_ns};
+    for (size_t c = 0; c < f.size(); ++c) {
+      uint64_t* out = c < 6 ? id_fields[c] : &row.span[c - 6];
+      if (out != nullptr && !ReadU64Field(path, lineno, expected[c], f[c], out)) {
+        return false;
+      }
     }
     rows->push_back(std::move(row));
   }
@@ -165,31 +181,34 @@ bool ParseTraceCsv(const std::string& path, std::vector<TraceRow>* rows) {
     std::fprintf(stderr, "cannot open --trace=%s\n", path.c_str());
     return false;
   }
+  const std::vector<std::string> header = {"type", "category", "start_ns", "end_ns",
+                                           "arg0", "arg1",     "arg2",     "arg_names"};
   std::string line;
-  if (!std::getline(in, line) ||
-      SplitCsvLine(line) !=
-          std::vector<std::string>{"type", "category", "start_ns", "end_ns", "arg0",
-                                   "arg1", "arg2", "arg_names"}) {
+  if (!std::getline(in, line) || SplitCsvLine(line) != header) {
     std::fprintf(stderr, "%s: not a --trace_out=*.csv file\n", path.c_str());
     return false;
   }
+  size_t lineno = 1;
   while (std::getline(in, line)) {
+    ++lineno;
     if (line.empty()) {
       continue;
     }
     const std::vector<std::string> f = SplitCsvLine(line);
-    if (f.size() != 8) {
-      std::fprintf(stderr, "%s: malformed row\n", path.c_str());
+    if (f.size() != header.size()) {
+      std::fprintf(stderr, "%s:%zu: malformed row\n", path.c_str(), lineno);
       return false;
     }
     TraceRow row;
     row.type = f[0];
     row.category = f[1];
-    row.start_ns = std::strtoull(f[2].c_str(), nullptr, 10);
-    row.end_ns = std::strtoull(f[3].c_str(), nullptr, 10);
-    row.arg0 = std::strtoull(f[4].c_str(), nullptr, 10);
-    row.arg1 = std::strtoull(f[5].c_str(), nullptr, 10);
-    row.arg2 = std::strtoull(f[6].c_str(), nullptr, 10);
+    uint64_t* const numeric[] = {&row.start_ns, &row.end_ns, &row.arg0, &row.arg1,
+                                 &row.arg2};
+    for (size_t c = 2; c < 7; ++c) {
+      if (!ReadU64Field(path, lineno, header[c], f[c], numeric[c - 2])) {
+        return false;
+      }
+    }
     rows->push_back(std::move(row));
   }
   return true;
