@@ -4,9 +4,9 @@
 //
 // A tiny fixed-slot KV table lives on the block device. Every "transaction batch" ends
 // with a snapshot, giving a consistent restore point per batch. We then crash the
-// device mid-batch (no checkpoint), reopen it (full log recovery, §5.5), and roll the
-// table back to the last durable batch by activating its snapshot — demonstrating that
-// snapshots and their lineage survive crashes.
+// device mid-batch, reopen it (full log recovery, §5.5), and roll the table back to the
+// last durable batch by activating its snapshot — demonstrating that snapshots and their
+// lineage survive crashes.
 
 #include <cstdio>
 #include <map>
@@ -66,7 +66,7 @@ int main() {
   }
 
   // Batch 4 starts writing but crashes midway — these writes must not survive a
-  // rollback, and the device must reopen cleanly without a checkpoint.
+  // rollback, and the device must reopen cleanly.
   for (uint64_t i = 0; i < 77; ++i) {
     const uint64_t key = (4 * 37 + i * 11) % kTableSlots;
     auto io = ftl->Write(key, Record(4096, key, 9999, 4), now);

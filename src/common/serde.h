@@ -1,6 +1,6 @@
-// Minimal little-endian byte serialization used by the checkpoint format. All Get*
-// functions validate bounds and report kDataLoss on truncation — a torn checkpoint must
-// be detected, not crash.
+// Minimal little-endian byte serialization used by the tree and trim summaries and the
+// media image. All Get* functions validate bounds and report kDataLoss on truncation — a
+// torn record must be detected, not crash.
 
 #ifndef SRC_COMMON_SERDE_H_
 #define SRC_COMMON_SERDE_H_

@@ -4,7 +4,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
-#include "src/core/checkpoint.h"
 #include "src/core/patrol_scrubber.h"
 #include "src/core/recovery.h"
 #include "src/nand/parity.h"
@@ -96,7 +95,7 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Open(const FtlConfig& config,
   ASSIGN_OR_RETURN(RecoveredState state, RecoverFromDevice(device.get(), issue_ns));
   if (trace != nullptr) {
     trace->Record(TraceEventType::kRecoveryRun, issue_ns, state.finish_ns,
-                  state.from_checkpoint ? 1 : 0, state.primary_map.size());
+                  state.primary_map.size());
   }
 
   std::unique_ptr<Ftl> ftl(new Ftl(config, std::move(device)));
@@ -945,68 +944,6 @@ StatusOr<uint64_t> Ftl::ScrubAllBlocking(uint64_t issue_ns) {
   ASSIGN_OR_RETURN(uint64_t finish, patrol_->ScrubAllBlocking(issue_ns));
   UpdateDegradedState(finish);
   return finish;
-}
-
-Status Ftl::CheckpointAndClose(uint64_t issue_ns) {
-  if (closed_) {
-    return FailedPrecondition("ftl: already closed");
-  }
-  // Activated views do not survive restarts.
-  std::vector<uint32_t> view_ids;
-  for (const auto& [id, view] : views_) {
-    if (id != kPrimaryView) {
-      view_ids.push_back(id);
-    }
-  }
-  uint64_t t = issue_ns;
-  for (uint32_t id : view_ids) {
-    RETURN_IF_ERROR(Deactivate(id, t));
-  }
-  activations_.clear();
-
-  CheckpointState state;
-  state.seq_counter = seq_counter_;
-  state.active_epoch = active_epoch_;
-  state.tree = tree_;  // Copy.
-  state.primary_map = FindView(kPrimaryView)->map.ToSortedVector();
-  for (uint32_t epoch : LiveEpochs()) {
-    uint64_t valid_pages = 0;
-    for (uint64_t r = 0; r < validity_.NumRanges(); ++r) {
-      valid_pages += validity_.EpochValidCount(epoch, r);
-    }
-    std::vector<uint64_t> paddrs;
-    paddrs.reserve(valid_pages);
-    validity_.ForEachValid(epoch, [&paddrs](uint64_t paddr) { paddrs.push_back(paddr); });
-    state.validity.emplace(epoch, std::move(paddrs));
-  }
-
-  const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  const uint64_t page_bytes = config_.nand.page_size_bytes;
-  const uint64_t total_pages = (bytes.size() + page_bytes - 1) / page_bytes;
-  const uint32_t checkpoint_id = static_cast<uint32_t>(seq_counter_ & 0xffffffffu);
-
-  for (uint64_t i = 0; i < total_pages; ++i) {
-    RETURN_IF_ERROR(EnsureAppendSpace(t));
-    PageHeader header;
-    header.type = RecordType::kCheckpoint;
-    header.lba = i;                       // Page index within the checkpoint.
-    header.snap_id = checkpoint_id;
-    header.trim_count = static_cast<uint32_t>(total_pages);
-    header.seq = NextSeq();
-    const uint64_t begin = i * page_bytes;
-    const uint64_t len = std::min<uint64_t>(page_bytes, bytes.size() - begin);
-    header.payload_len = static_cast<uint32_t>(len);
-    std::span<const uint8_t> payload(bytes.data() + begin, len);
-    ASSIGN_OR_RETURN(AppendResult ar,
-                     log_.Append(LogManager::kActiveHead, header, payload, t));
-    ++stats_.total_pages_programmed;
-    t = ar.op.finish_ns;
-  }
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEventType::kCheckpointWrite, issue_ns, t, total_pages, bytes.size());
-  }
-  closed_ = true;
-  return OkStatus();
 }
 
 std::unique_ptr<NandDevice> Ftl::ReleaseDevice() {

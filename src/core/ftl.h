@@ -110,8 +110,8 @@ class Ftl {
   // Creates an FTL on a factory-fresh device.
   static StatusOr<std::unique_ptr<Ftl>> Create(const FtlConfig& config);
 
-  // Re-attaches an existing device (restart). If the device tail holds a complete
-  // checkpoint the state is loaded from it; otherwise full crash recovery (§5.5) runs.
+  // Re-attaches an existing device (restart) through full recovery (§5.5): the same
+  // header scan and replay after a crash and after a clean shutdown.
   // `recovery_finish_ns` (optional) reports the virtual time when recovery completed.
   // `trace` (optional) is attached before recovery so the recovery phase is recorded.
   static StatusOr<std::unique_ptr<Ftl>> Open(const FtlConfig& config,
@@ -271,12 +271,8 @@ class Ftl {
 
   // --- Shutdown / restart ---
 
-  // Writes a checkpoint so the next Open is instant. Views are discarded (activations do
-  // not survive restarts). The FTL must not be used afterwards except for ReleaseDevice.
-  Status CheckpointAndClose(uint64_t issue_ns);
-
-  // Detaches the "media" — used by crash tests: drop the Ftl without checkpointing and
-  // Open a new one over the returned device.
+  // Detaches the "media" and closes the FTL: the shutdown, clean or crash alike. Open a
+  // new Ftl over the returned device. Activated views do not survive it.
   std::unique_ptr<NandDevice> ReleaseDevice();
 
   // --- Introspection for experiments ---

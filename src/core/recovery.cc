@@ -6,7 +6,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
-#include "src/core/checkpoint.h"
 #include "src/core/trim_summary.h"
 
 namespace iosnap {
@@ -64,75 +63,6 @@ std::vector<std::pair<uint64_t, uint64_t>> SortedMapOf(const StateMap& state) {
   return out;
 }
 
-// Attempts the checkpoint fast path. Returns true (and fills `state`) on success.
-// `clock_ns` advances by the payload reads performed.
-StatusOr<bool> TryLoadCheckpoint(NandDevice* device,
-                                 const std::vector<ScanRecord>& records_by_seq,
-                                 uint64_t* clock_ns, CheckpointState* state) {
-  if (records_by_seq.empty()) {
-    return false;
-  }
-  // A valid checkpoint must own the tail of the log: collect the trailing run of
-  // kCheckpoint records.
-  std::vector<const ScanRecord*> group;
-  for (auto it = records_by_seq.rbegin(); it != records_by_seq.rend(); ++it) {
-    if (it->header.type != RecordType::kCheckpoint) {
-      break;
-    }
-    group.push_back(&*it);
-  }
-  if (group.empty()) {
-    return false;
-  }
-  const uint32_t checkpoint_id = group.front()->header.snap_id;
-  const uint64_t expected_pages = group.front()->header.trim_count;
-  // Keep only the tail checkpoint's own pages (a torn earlier checkpoint directly
-  // preceding it would have a different id).
-  std::erase_if(group, [checkpoint_id](const ScanRecord* r) {
-    return r->header.snap_id != checkpoint_id;
-  });
-  if (group.size() != expected_pages) {
-    return false;  // Torn checkpoint: fall back to full recovery.
-  }
-  // Order pages by their index within the checkpoint (stored in header.lba).
-  std::sort(group.begin(), group.end(), [](const ScanRecord* a, const ScanRecord* b) {
-    return a->header.lba < b->header.lba;
-  });
-  std::vector<uint8_t> bytes;
-  for (size_t i = 0; i < group.size(); ++i) {
-    if (group[i]->header.lba != i) {
-      return false;
-    }
-    std::vector<uint8_t> payload;
-    StatusOr<NandOp> op = device->ReadPageWithRetry(group[i]->paddr, *clock_ns, nullptr,
-                                                    &payload, kRecoveryReadAttempts);
-    if (!op.ok()) {
-      // A corrupt or unreadable checkpoint page invalidates the fast path, not the
-      // device: fall back to the full two-pass scan.
-      IOSNAP_LOG(kWarning) << "[recovery] checkpoint page unreadable (" << op.status()
-                           << "); running full recovery";
-      return false;
-    }
-    *clock_ns = op->finish_ns;
-    if (payload.size() < group[i]->header.payload_len) {
-      IOSNAP_LOG(kWarning)
-          << "[recovery] checkpoint payload shorter than recorded length; "
-             "running full recovery";
-      return false;
-    }
-    bytes.insert(bytes.end(), payload.begin(),
-                 payload.begin() + group[i]->header.payload_len);
-  }
-  auto parsed = ParseCheckpoint(bytes, device->config().TotalPages());
-  if (!parsed.ok()) {
-    IOSNAP_LOG(kWarning) << "[recovery] checkpoint parse failed (" << parsed.status()
-                         << "); running full recovery";
-    return false;
-  }
-  *state = std::move(parsed).value();
-  return true;
-}
-
 }  // namespace
 
 StatusOr<RecoveredState> RecoverFromDevice(NandDevice* device, uint64_t issue_ns) {
@@ -140,54 +70,63 @@ StatusOr<RecoveredState> RecoverFromDevice(NandDevice* device, uint64_t issue_ns
   uint64_t clock_ns = issue_ns;
 
   // --- Scan every segment's OOB headers ---
-  std::vector<std::pair<uint64_t, PageHeader>> raw;
+  // Each segment's headers land in one reused buffer and fold straight into `records`,
+  // so the scan never holds a second copy of every header. Trim summaries are read after
+  // the scan, in scan order.
+  std::vector<ScanRecord> records;
+  std::vector<uint64_t> trim_summaries;
+  std::vector<std::pair<uint64_t, PageHeader>> segment_headers;
   for (uint64_t seg = 0; seg < device->config().num_segments; ++seg) {
-    ASSIGN_OR_RETURN(NandOp op, device->ScanSegmentHeaders(seg, clock_ns, &raw));
+    segment_headers.clear();
+    ASSIGN_OR_RETURN(NandOp op,
+                     device->ScanSegmentHeaders(seg, clock_ns, &segment_headers));
     clock_ns = op.finish_ns;
+    for (const auto& [paddr, header] : segment_headers) {
+      if (header.type == RecordType::kPad || header.type == RecordType::kInvalid ||
+          header.type == RecordType::kParity) {
+        // Parity pages carry placement, not identity (seq = 0); replaying them would
+        // corrupt the seq-ordered dedup. The rebuild path finds them positionally.
+        continue;
+      }
+      if (header.type == RecordType::kTrimSummary) {
+        trim_summaries.push_back(paddr);
+        continue;
+      }
+      records.push_back(ScanRecord{paddr, header});
+    }
+  }
+
+  // Expand the cleaner's compacted trim batches back into individual trim records (each
+  // with its original epoch/seq identity).
+  for (const uint64_t paddr : trim_summaries) {
+    std::vector<uint8_t> payload;
+    StatusOr<NandOp> op = device->ReadPageWithRetry(paddr, clock_ns, nullptr, &payload,
+                                                    kRecoveryReadAttempts);
+    if (!op.ok()) {
+      IOSNAP_LOG(kWarning) << "[recovery] unreadable trim summary ignored: "
+                           << op.status();
+      continue;
+    }
+    clock_ns = op->finish_ns;
+    auto entries = DecodeTrimSummary(payload);
+    if (!entries.ok()) {
+      IOSNAP_LOG(kWarning) << "[recovery] unreadable trim summary ignored: "
+                           << entries.status();
+      continue;
+    }
+    for (const TrimEntry& entry : *entries) {
+      PageHeader trim;
+      trim.type = RecordType::kTrim;
+      trim.lba = entry.lba;
+      trim.trim_count = entry.count;
+      trim.epoch = entry.epoch;
+      trim.seq = entry.seq;
+      records.push_back(ScanRecord{paddr, trim});
+    }
   }
 
   // Sort by sequence number; de-duplicate records that survived twice because a crash
   // interrupted copy-forward before the source erase.
-  std::vector<ScanRecord> records;
-  records.reserve(raw.size());
-  for (const auto& [paddr, header] : raw) {
-    if (header.type == RecordType::kPad || header.type == RecordType::kInvalid ||
-        header.type == RecordType::kParity) {
-      // Parity pages carry placement, not identity (seq = 0); replaying them would
-      // corrupt the seq-ordered dedup. The rebuild path finds them positionally.
-      continue;
-    }
-    if (header.type == RecordType::kTrimSummary) {
-      // Expand the cleaner's compacted trim batches back into individual trim records
-      // (each with its original epoch/seq identity).
-      std::vector<uint8_t> payload;
-      StatusOr<NandOp> op = device->ReadPageWithRetry(paddr, clock_ns, nullptr, &payload,
-                                                      kRecoveryReadAttempts);
-      if (!op.ok()) {
-        IOSNAP_LOG(kWarning) << "[recovery] unreadable trim summary ignored: "
-                             << op.status();
-        continue;
-      }
-      clock_ns = op->finish_ns;
-      auto entries = DecodeTrimSummary(payload);
-      if (!entries.ok()) {
-        IOSNAP_LOG(kWarning) << "[recovery] unreadable trim summary ignored: "
-                             << entries.status();
-        continue;
-      }
-      for (const TrimEntry& entry : *entries) {
-        PageHeader trim;
-        trim.type = RecordType::kTrim;
-        trim.lba = entry.lba;
-        trim.trim_count = entry.count;
-        trim.epoch = entry.epoch;
-        trim.seq = entry.seq;
-        records.push_back(ScanRecord{paddr, trim});
-      }
-      continue;
-    }
-    records.push_back(ScanRecord{paddr, header});
-  }
   std::sort(records.begin(), records.end(), [](const ScanRecord& a, const ScanRecord& b) {
     if (a.header.seq != b.header.seq) {
       return a.header.seq < b.header.seq;
@@ -202,26 +141,6 @@ StatusOr<RecoveredState> RecoverFromDevice(NandDevice* device, uint64_t issue_ns
 
   for (const ScanRecord& r : records) {
     out.seq_counter = std::max(out.seq_counter, r.header.seq + 1);
-  }
-
-  // --- Fast path: complete checkpoint at the tail ---
-  CheckpointState checkpoint;
-  ASSIGN_OR_RETURN(bool have_checkpoint,
-                   TryLoadCheckpoint(device, records, &clock_ns, &checkpoint));
-  if (have_checkpoint) {
-    out.from_checkpoint = true;
-    out.seq_counter = std::max(out.seq_counter, checkpoint.seq_counter);
-    out.active_epoch = checkpoint.active_epoch;
-    out.tree = std::move(checkpoint.tree);
-    out.primary_map = std::move(checkpoint.primary_map);
-    out.validity = std::move(checkpoint.validity);
-    for (const ScanRecord& r : records) {
-      if (r.header.type == RecordType::kData) {
-        out.data_records.push_back({r.paddr, r.header.epoch, r.header.seq});
-      }
-    }
-    out.finish_ns = clock_ns;
-    return out;
   }
 
   // --- Pass 0: adopt the newest complete tree summary (cleaner-consolidated notes) ---

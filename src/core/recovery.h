@@ -1,8 +1,7 @@
 // Crash recovery and restart (§5.5).
 //
-// On open, the whole log's OOB headers are scanned. If the highest-sequence records form
-// a complete checkpoint, state loads from it (clean shutdown). Otherwise the two-pass
-// reconstruction runs:
+// Every open, after a crash or a clean shutdown alike, scans the whole log's OOB headers
+// and adopts the newest complete tree summary. Then the two-pass reconstruction runs:
 //   Pass 1 replays snapshot notes in sequence order, rebuilding the epoch tree and the
 //          snapshot tree (and re-deriving the deterministic epoch numbering).
 //   Pass 2 walks the epoch tree root-to-leaf, overlaying each epoch's data/trim records
@@ -28,7 +27,6 @@
 namespace iosnap {
 
 struct RecoveredState {
-  bool from_checkpoint = false;
   uint64_t seq_counter = 0;
   uint32_t active_epoch = kRootEpoch;
   SnapshotTree tree;

@@ -562,7 +562,7 @@ StatusOr<uint64_t> SegmentCleaner::ProcessEntry(
       // Superseded by the fresh tree summary StartVictim wrote.
       ++ftl_->stats_.gc_notes_dropped;
       return now_ns;
-    case RecordType::kCheckpoint:  // Stale the moment the device reopened.
+    case RecordType::kCheckpoint:  // Retired record kind from earlier builds.
     case RecordType::kPad:
     case RecordType::kInvalid:
       return now_ns;

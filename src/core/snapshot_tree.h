@@ -79,9 +79,9 @@ class SnapshotTree {
   // activation cost grows with this depth (Figure 8).
   int SnapshotDepth(uint32_t snap_id) const;
 
-  // --- Recovery / checkpoint support ---
+  // --- Recovery support ---
 
-  // Re-registers state with explicit ids; used when rebuilding from notes or checkpoint.
+  // Re-registers state with explicit ids; used when rebuilding from notes.
   void RestoreEpoch(uint32_t epoch, uint32_t parent);
   void RestoreSnapshot(const SnapshotInfo& info);
 

@@ -1,5 +1,7 @@
 #include "src/core/trim_summary.h"
 
+#include <string>
+
 #include "src/common/logging.h"
 #include "src/common/serde.h"
 
@@ -24,6 +26,11 @@ StatusOr<std::vector<TrimEntry>> DecodeTrimSummary(const std::vector<uint8_t>& p
   size_t offset = 0;
   uint32_t count = 0;
   RETURN_IF_ERROR(GetU32(payload, &offset, &count));
+  // The count is untrusted: bound it by the entries the payload holds before reserving.
+  if (count > (payload.size() - offset) / kTrimEntryBytes) {
+    return DataLoss("trim summary: entry count " + std::to_string(count) +
+                    " exceeds payload size " + std::to_string(payload.size()));
+  }
   std::vector<TrimEntry> entries;
   entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

@@ -39,7 +39,8 @@ inline uint64_t TrimEntriesPerPage(uint64_t page_bytes) {
 std::vector<uint8_t> EncodeTrimSummary(const std::vector<TrimEntry>& entries, size_t begin,
                                        size_t count);
 
-// Decodes a payload produced by EncodeTrimSummary.
+// Decodes a payload produced by EncodeTrimSummary. The bytes are untrusted: truncation
+// and an entry count the payload cannot hold are kDataLoss.
 StatusOr<std::vector<TrimEntry>> DecodeTrimSummary(const std::vector<uint8_t>& payload);
 
 }  // namespace iosnap

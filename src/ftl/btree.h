@@ -70,8 +70,8 @@ class BPlusTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // In-order visit of all (key, value) pairs. Templated so hot callers (checkpoint,
-  // activation, space accounting) pay a direct call, not a std::function dispatch.
+  // In-order visit of all (key, value) pairs. Templated so hot callers (activation,
+  // space accounting) pay a direct call, not a std::function dispatch.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     // Leftmost leaf, then walk the chain.
@@ -87,7 +87,7 @@ class BPlusTree {
     }
   }
 
-  // Extracts all pairs in key order (used by checkpointing).
+  // Extracts all pairs in key order (snapshot diffing, archival).
   std::vector<std::pair<uint64_t, uint64_t>> ToSortedVector() const;
 
   // Builds a maximally packed tree from key-sorted unique pairs — the activation path.

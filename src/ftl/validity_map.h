@@ -183,10 +183,9 @@ class ValidityMap {
   // Number of distinct chunk objects currently alive (shared chunks counted once).
   size_t DistinctChunkCount() const;
 
-  // Serialization for checkpointing: per-epoch list of (chunk_index, bits...) is rebuilt
-  // from scratch on load, so we only expose enumeration of set bits per epoch. Visits
-  // ascending paddrs (the chunk table iterates in index order). Templated so the hot
-  // callers (checkpoint, space accounting) pay a direct call, not std::function dispatch.
+  // Enumerates the set bits of one epoch, visiting ascending paddrs (the chunk table
+  // iterates in index order). Templated so the hot caller (snapshot space accounting)
+  // pays a direct call, not std::function dispatch.
   template <typename Fn>
   void ForEachValid(uint32_t epoch, Fn&& fn) const {
     auto epoch_it = epochs_.find(epoch);

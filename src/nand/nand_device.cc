@@ -166,9 +166,9 @@ StatusOr<NandOp> NandDevice::ProgramCommit(uint64_t segment, const PageHeader& h
   page.programmed = true;
   page.programmed_at_ns = issue_ns;
   page.header = header;
-  // Metadata payloads (checkpoints, summaries, snapshot names, parity images) are
-  // always retained: header-only benchmarking mode must still support restarts, note
-  // consolidation, and stripe rebuilds.
+  // Metadata payloads (summaries, snapshot names, parity images) are always retained:
+  // header-only benchmarking mode must still support restarts, note consolidation, and
+  // stripe rebuilds.
   if ((config_.store_data || PayloadAlwaysStored(header.type)) && !data.empty()) {
     page.data.assign(data.begin(), data.end());
   } else {

@@ -29,11 +29,13 @@ enum class RecordType : uint8_t {
   kTreeSummary,     // Consolidated snapshot-tree record written by the cleaner; payload
                     // holds the serialized tree. Supersedes all earlier snapshot notes
                     // (and earlier summaries), which lets the cleaner drop them instead
-                    // of copying them forward forever. Grouping fields as kCheckpoint.
+                    // of copying them forward forever. snap_id = group id, lba = page
+                    // index within the group, trim_count = group page count.
   kTrimSummary,     // Dense batch of trim entries (src/core/trim_summary.h) written by
                     // the cleaner in place of copying single-page trim notes 1:1.
-  kCheckpoint,      // Clean-shutdown checkpoint payload page. snap_id = group id,
-                    // lba = page index within the group, trim_count = group page count.
+  kCheckpoint,      // Retired: earlier builds wrote a clean-shutdown checkpoint as a
+                    // run of these. Never written now; recovery replays nothing from
+                    // one and the cleaner drops it. Kept so later values stay put.
   kPad,             // Filler written to close out a segment.
   kParity,          // Intra-segment XOR parity page (src/nand/parity.h). lba = paddr of
                     // the stripe's first member slot, trim_count = member count (0 when
@@ -45,12 +47,11 @@ enum class RecordType : uint8_t {
 const char* RecordTypeName(RecordType type);
 
 // Record types whose payload is stored verbatim even when NandConfig::store_data is
-// false: their bytes *are* the record (checkpoints, summaries, parity images), not a
+// false: their bytes *are* the record (summaries, snapshot names, parity images), not a
 // shadow of host data the simulator can elide.
 inline constexpr bool PayloadAlwaysStored(RecordType type) {
-  return type == RecordType::kCheckpoint || type == RecordType::kTreeSummary ||
-         type == RecordType::kTrimSummary || type == RecordType::kSnapCreate ||
-         type == RecordType::kParity;
+  return type == RecordType::kTreeSummary || type == RecordType::kTrimSummary ||
+         type == RecordType::kSnapCreate || type == RecordType::kParity;
 }
 
 // Fixed-size header stored in each page's OOB area.
@@ -61,7 +62,7 @@ struct PageHeader {
   uint64_t seq = 0;         // Global write sequence number; preserved by copy-forward.
   uint32_t snap_id = 0;     // Snapshot id for snapshot notes.
   uint32_t trim_count = 0;  // Number of LBAs trimmed (kTrim).
-  uint32_t payload_len = 0; // Bytes of payload stored in the page (checkpoint chaining).
+  uint32_t payload_len = 0; // Bytes of payload stored in the page (summary chaining).
   uint32_t crc = 0;         // CRC-32 of (header fields above + stored payload). Stamped
                             // by the device at program time, verified on every read and
                             // header scan, so silent corruption and torn tails surface

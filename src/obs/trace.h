@@ -55,9 +55,10 @@ enum class TraceEventType : uint8_t {
   kRateLimiterSleep,
   // NAND device. args: segment, erase_count.
   kNandErase,
-  // Lifecycle phases. args: pages / from_checkpoint, map_entries.
-  kCheckpointWrite,
-  kRecoveryRun,
+  // Lifecycle phases.
+  kCheckpointWrite,  // Retired: earlier builds wrote a checkpoint at clean shutdown.
+                     // Never emitted; kept so later enumerators keep their values.
+  kRecoveryRun,      // args: map_entries
   // Fault injection & degraded-mode handling.
   kFaultInjected,    // args: kind (0=program 1=erase 2=read 3=corrupt 4=read-disturb
                      //            5=retention), where, op_index / wear input

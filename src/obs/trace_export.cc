@@ -71,7 +71,7 @@ constexpr TraceEventInfo kEventInfo[kNumTraceEventTypes] = {
     {TraceEventType::kCheckpointWrite, "checkpoint_write", "lifecycle", kTrackLifecycle,
      {"pages", nullptr, nullptr}},
     {TraceEventType::kRecoveryRun, "recovery", "lifecycle", kTrackLifecycle,
-     {"from_checkpoint", "map_entries", nullptr}},
+     {"map_entries", nullptr, nullptr}},
     {TraceEventType::kFaultInjected, "fault_injected", "device", kTrackDevice,
      {"kind", "where", "op_index"}},
     {TraceEventType::kSegmentRetired, "segment_retired", "device", kTrackDevice,

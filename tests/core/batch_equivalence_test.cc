@@ -1,8 +1,8 @@
 // Vectored I/O equivalence: driving the FTL through WriteV/ReadV/TrimV in batches of N
 // must be bit-identical to issuing the same N ops one-by-one at the same shared issue
 // time — forward map, per-epoch validity, cumulative stats, device drain time, and
-// snapshot contents all match, across GC pressure, snapshot churn, a crash recovery,
-// and a checkpoint restart.
+// snapshot contents all match, across GC pressure, snapshot churn, and two reopens
+// through recovery.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +24,7 @@ namespace {
 // One scripted step. Data ops stream through the batching machinery; the others are
 // group boundaries executed identically in both modes.
 struct Step {
-  enum Kind { kWrite, kRead, kTrim, kSnapshot, kDeleteSnapshot, kCrash, kRestart };
+  enum Kind { kWrite, kRead, kTrim, kSnapshot, kDeleteSnapshot, kReopen };
   Kind kind = kWrite;
   uint64_t lba = 0;
   uint64_t count = 1;
@@ -32,7 +32,7 @@ struct Step {
 };
 
 // Deterministic script exercising overwrites (validity CoW), trims, enough churn to
-// engage the cleaner, snapshot create/delete, and both restart flavours.
+// engage the cleaner, snapshot create/delete, and two reopens.
 std::vector<Step> MakeScript(uint64_t lba_space) {
   std::vector<Step> script;
   Rng rng(2014);
@@ -62,11 +62,11 @@ std::vector<Step> MakeScript(uint64_t lba_space) {
   data_ops(300);
   script.push_back({Step::kSnapshot});
   data_ops(200);
-  script.push_back({Step::kCrash});
+  script.push_back({Step::kReopen});
   data_ops(200);
   script.push_back({Step::kDeleteSnapshot});  // Deletes the oldest live snapshot.
   data_ops(150);
-  script.push_back({Step::kRestart});
+  script.push_back({Step::kReopen});
   data_ops(250);
   return script;
 }
@@ -138,14 +138,7 @@ class ScriptDriver {
           now_ = std::max(now_, result->CompletionNs());
           break;
         }
-        case Step::kCrash:
-        case Step::kRestart: {
-          if (step.kind == Step::kRestart) {
-            Status closed = ftl_->CheckpointAndClose(now_);
-            if (!closed.ok()) {
-              return ::testing::AssertionFailure() << closed.ToString();
-            }
-          }
+        case Step::kReopen: {
           std::unique_ptr<NandDevice> device = ftl_->ReleaseDevice();
           uint64_t finish = now_;
           auto reopened = Ftl::Open(config_, std::move(device), now_, &finish);

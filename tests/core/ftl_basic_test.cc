@@ -185,12 +185,12 @@ TEST(FtlBasicTest, WriteAmplificationIsBoundedUnderUniformOverwrite) {
 TEST(FtlBasicTest, ClosedFtlRejectsOperations) {
   FtlHarness h(SmallConfig());
   ASSERT_OK(h.Write(1, 1));
-  ASSERT_OK(h.ftl().CheckpointAndClose(h.now()));
+  ASSERT_NE(h.ftl().ReleaseDevice(), nullptr);
   EXPECT_EQ(h.ftl().Write(1, {}, h.now()).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(h.ftl().Read(1, h.now(), nullptr).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(h.ftl().CheckpointAndClose(h.now()).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(h.ftl().ReleaseDevice(), nullptr);
 }
 
 TEST(FtlBasicTest, VanillaModeRejectsSnapshotOps) {

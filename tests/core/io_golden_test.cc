@@ -47,7 +47,7 @@ struct GoldenCase {
   uint32_t parity_stripe = 0;
   uint32_t degraded_free_floor = 0;
   uint64_t crash_after_op = 0;  // Crash, then Ftl::Open on the disarmed device.
-  bool checkpoint = false;      // CheckpointAndClose + Ftl::Open after the third phase.
+  bool clean_reopen = false;    // ReleaseDevice + Ftl::Open after the third phase.
   uint64_t digest = 0;
 };
 
@@ -119,7 +119,7 @@ class GoldenRun {
           const size_t n = std::min<size_t>(case_.group, phases[p].size() - i);
           RunGroup(&phases[p][i], n);
           if (ftl_->device().fault().crashed()) {
-            auto reopened = Reopen(/*checkpoint=*/false);
+            auto reopened = Reopen();
             if (!reopened) {
               return reopened;
             }
@@ -145,8 +145,8 @@ class GoldenRun {
         digest_.Add(finish);
         now_ = std::max(now_, finish);
       }
-      if (p == 2 && case_.checkpoint) {
-        auto reopened = Reopen(/*checkpoint=*/true);
+      if (p == 2 && case_.clean_reopen) {
+        auto reopened = Reopen();
         if (!reopened) {
           return reopened;
         }
@@ -351,16 +351,8 @@ class GoldenRun {
     }
   }
 
-  // Drops the Ftl (after a checkpoint, or as a crash with faults disarmed) and opens
-  // a new one over the same device.
-  ::testing::AssertionResult Reopen(bool checkpoint) {
-    if (checkpoint) {
-      const Status closed = ftl_->CheckpointAndClose(now_);
-      Fold(closed);
-      if (!closed.ok()) {
-        return ::testing::AssertionFailure() << "checkpoint: " << closed.ToString();
-      }
-    }
+  // Releases the device, disarms its faults and opens a new Ftl over it.
+  ::testing::AssertionResult Reopen() {
     gc_before_reopen_ += ftl_->stats().gc_segments_cleaned;
     std::unique_ptr<NandDevice> device = ftl_->ReleaseDevice();
     device->ClearFaults();
@@ -412,7 +404,7 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
   if (c.degraded_free_floor > 0) {
     EXPECT_GT(run.ftl().stats().degraded_writes_rejected, 0u);
   }
-  if (c.crash_after_op > 0 || c.checkpoint) {
+  if (c.crash_after_op > 0 || c.clean_reopen) {
     EXPECT_EQ(run.reopens(), 1);
   }
   EXPECT_EQ(digest, c.digest) << c.name << ": actual digest 0x" << std::hex << digest;
@@ -462,10 +454,10 @@ INSTANTIATE_TEST_SUITE_P(
                    .crash_after_op = 2000, .digest = 0x87355cce5d14cd0dULL},
         GoldenCase{.name = "crash_vec7", .path = Path::kVectored, .group = 7,
                    .crash_after_op = 2000, .digest = 0xe230492122871532ULL},
-        GoldenCase{.name = "checkpoint_scalar", .path = Path::kScalar, .group = 1,
-                   .checkpoint = true, .digest = 0x5db34e883f310614ULL},
-        GoldenCase{.name = "checkpoint_vec7", .path = Path::kVectored, .group = 7,
-                   .checkpoint = true, .digest = 0xe2f7e265e996e0acULL}),
+        GoldenCase{.name = "clean_reopen_scalar", .path = Path::kScalar, .group = 1,
+                   .clean_reopen = true, .digest = 0xc26f737b63226ff8ULL},
+        GoldenCase{.name = "clean_reopen_vec7", .path = Path::kVectored, .group = 7,
+                   .clean_reopen = true, .digest = 0x114a73f49cbff335ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& golden) {
       return std::string(golden.param.name);
     });

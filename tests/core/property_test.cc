@@ -127,13 +127,9 @@ TEST_P(SnapshotPropertyTest, RandomOpsMatchReferenceModel) {
       }
       ASSERT_OK(h.ftl().Deactivate(view, h.now()));
     } else if (param.allow_restarts && restarts_left > 0) {
-      // Crash or clean restart.
+      // Restart: release the device and reopen it through full recovery.
       --restarts_left;
-      if (rng.NextBool(0.5)) {
-        ASSERT_OK(h.CrashAndReopen());
-      } else {
-        ASSERT_OK(h.CleanRestart());
-      }
+      ASSERT_OK(h.CrashAndReopen());
       ASSERT_TRUE(h.CheckView(kPrimaryView, model.current_state(), lba_space))
           << param.name << " after restart at step " << step;
     }

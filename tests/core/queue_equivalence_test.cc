@@ -2,7 +2,7 @@
 //
 //   1. queues=1, iodepth=1 is bit-identical to the vectored WriteV/ReadV/TrimV path —
 //      same stats, same forward map, same virtual clock, same drain time — across GC
-//      pressure, snapshot churn, a crash recovery, and a checkpoint restart.
+//      pressure, snapshot churn, and two reopens through recovery.
 //   2. Any (queues, iodepth) combination produces the same *logical* state as a
 //      brute-force reference model applied in submission order: commit order is
 //      submission order, out-of-orderness only reorders completion delivery.
@@ -31,7 +31,7 @@ namespace iosnap {
 namespace {
 
 struct Step {
-  enum Kind { kWrite, kRead, kTrim, kSnapshot, kDeleteSnapshot, kCrash, kRestart };
+  enum Kind { kWrite, kRead, kTrim, kSnapshot, kDeleteSnapshot, kReopen };
   Kind kind = kWrite;
   uint64_t lba = 0;
   uint64_t count = 1;
@@ -65,11 +65,11 @@ std::vector<Step> MakeScript(uint64_t lba_space, uint64_t seed) {
   data_ops(350);
   script.push_back({Step::kSnapshot});
   data_ops(250);
-  script.push_back({Step::kCrash});
+  script.push_back({Step::kReopen});
   data_ops(200);
   script.push_back({Step::kDeleteSnapshot});
   data_ops(100);
-  script.push_back({Step::kRestart});
+  script.push_back({Step::kReopen});
   data_ops(200);
   return script;
 }
@@ -128,14 +128,7 @@ class Driver {
           now_ = std::max(now_, result->CompletionNs());
           break;
         }
-        case Step::kCrash:
-        case Step::kRestart: {
-          if (step.kind == Step::kRestart) {
-            Status closed = ftl_->CheckpointAndClose(now_);
-            if (!closed.ok()) {
-              return ::testing::AssertionFailure() << closed.ToString();
-            }
-          }
+        case Step::kReopen: {
           std::unique_ptr<NandDevice> device = ftl_->ReleaseDevice();
           uint64_t finish = now_;
           auto reopened = Ftl::Open(config_, std::move(device), now_, &finish);

@@ -1,12 +1,11 @@
-// Crash recovery and checkpoint restart (§5.5), including torn checkpoints and crashes
-// that race the segment cleaner.
+// Recovery on restart (§5.5): crashes, torn tails, crashes that race the segment
+// cleaner, and on-media records recovery must ignore.
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/core/checkpoint.h"
+#include "src/core/fsck.h"
 #include "src/core/ftl.h"
-#include "src/core/recovery.h"
 #include "tests/test_util.h"
 
 namespace iosnap {
@@ -81,52 +80,6 @@ TEST(RecoveryTest, SnapshotIdsContinueAfterCrash) {
   ASSERT_OK(h.Write(0, 2));
   ASSERT_OK_AND_ASSIGN(uint32_t s2, h.Snapshot("b"));
   EXPECT_EQ(s2, s1 + 1);
-}
-
-TEST(RecoveryTest, CleanRestartUsesCheckpoint) {
-  FtlHarness h(SmallConfig());
-  ReferenceModel model;
-  for (uint64_t lba = 0; lba < 25; ++lba) {
-    ASSERT_OK(h.Write(lba, lba + 7));
-    model.Write(lba, lba + 7);
-  }
-  ASSERT_OK_AND_ASSIGN(uint32_t snap, h.Snapshot("kept"));
-  model.Snapshot(snap);
-  ASSERT_OK(h.Write(3, 1234));
-  model.Write(3, 1234);
-
-  ASSERT_OK(h.CleanRestart());
-  EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 25));
-  ASSERT_OK_AND_ASSIGN(uint32_t view, h.Activate(snap));
-  EXPECT_TRUE(h.CheckView(view, model.snapshot_state(snap), 25));
-  // Snapshot names survive a clean restart (they live in the checkpoint).
-  ASSERT_OK_AND_ASSIGN(SnapshotInfo info, h.ftl().snapshot_tree().Get(snap));
-  EXPECT_EQ(info.name, "kept");
-}
-
-TEST(RecoveryTest, CheckpointIsDetectedAsCheckpoint) {
-  FtlHarness h(SmallConfig());
-  ASSERT_OK(h.Write(0, 1));
-  ASSERT_OK(h.ftl().CheckpointAndClose(h.now()));
-  std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
-  ASSERT_OK_AND_ASSIGN(RecoveredState state, RecoverFromDevice(device.get(), 0));
-  EXPECT_TRUE(state.from_checkpoint);
-  EXPECT_EQ(state.primary_map.size(), 1u);
-}
-
-TEST(RecoveryTest, WritesAfterCheckpointForceFullRecovery) {
-  // Clean restart, then crash: the stale checkpoint must not shadow newer writes.
-  FtlHarness h(SmallConfig());
-  ReferenceModel model;
-  ASSERT_OK(h.Write(0, 1));
-  model.Write(0, 1);
-  ASSERT_OK(h.CleanRestart());
-  ASSERT_OK(h.Write(0, 2));
-  model.Write(0, 2);
-  ASSERT_OK(h.Write(1, 3));
-  model.Write(1, 3);
-  ASSERT_OK(h.CrashAndReopen());
-  EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 5));
 }
 
 TEST(RecoveryTest, EmptyDeviceRecovers) {
@@ -245,102 +198,97 @@ TEST(RecoveryTest, TornTailPageIsSkippedAndPriorStateSurvives) {
                 .status());
 }
 
-// Device page count the format tests parse against; every paddr they store is below it.
-constexpr uint64_t kCheckpointPages = 1024;
-
-TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
-  CheckpointState state;
-  state.seq_counter = 777;
-  state.active_epoch = 2;
-  state.tree.AddSnapshot(kRootEpoch, 10, "s1");
-  state.tree.NewEpoch(kRootEpoch);
-  state.tree.NewEpoch(1);
-  state.primary_map = {{1, 100}, {2, 200}};
-  state.validity[0] = {100, 101};
-  state.validity[2] = {200};
-
-  const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  ASSERT_OK_AND_ASSIGN(CheckpointState parsed,
-                       ParseCheckpoint(bytes, kCheckpointPages));
-  EXPECT_EQ(parsed.seq_counter, 777u);
-  EXPECT_EQ(parsed.active_epoch, 2u);
-  EXPECT_EQ(parsed.primary_map, state.primary_map);
-  EXPECT_EQ(parsed.validity, state.validity);
-  EXPECT_EQ(parsed.tree.EpochCount(), 3u);
+// Programs a page into the segment of `newest_paddr`, the newest record on a released
+// device: the log tail, where a shutdown or a hostile image leaves pages.
+Status ProgramAtTail(NandDevice* device, uint64_t newest_paddr, PageHeader header,
+                     const std::vector<uint8_t>& payload, uint64_t issue_ns) {
+  header.payload_len = static_cast<uint32_t>(payload.size());
+  uint64_t paddr = 0;
+  return device
+      ->ProgramPage(device->SegmentOf(newest_paddr), header, payload, issue_ns, &paddr)
+      .status();
 }
 
-TEST(CheckpointFormatTest, CorruptionDetected) {
-  CheckpointState state;
-  std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  bytes[0] ^= 0xff;  // Break the magic.
-  EXPECT_EQ(ParseCheckpoint(bytes, kCheckpointPages).status().code(),
-            StatusCode::kDataLoss);
-
-  std::vector<uint8_t> truncated = SerializeCheckpoint(state);
-  truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(ParseCheckpoint(truncated, kCheckpointPages).ok());
-}
-
-// Entry counts are untrusted: one the remaining bytes cannot hold is kDataLoss, not a
-// reserve() that throws.
-TEST(CheckpointFormatTest, HostileCountsAreDataLoss) {
-  CheckpointState state;
-  state.primary_map = {{1, 100}, {2, 200}};
-  state.validity[0] = {100, 200};
-  const std::vector<uint8_t> bytes = SerializeCheckpoint(state);
-  ASSERT_OK(ParseCheckpoint(bytes, kCheckpointPages).status());
-
-  // Layout: magic u64, version u32, seq u64, epoch u32, tree, map_count u64, entries,
-  // epoch_count u32, then per epoch: epoch u32, count u64, paddrs.
-  std::vector<uint8_t> tree;
-  state.tree.SerializeTo(&tree);
-  const size_t map_count_at = 24 + tree.size();
-  const size_t paddr_count_at = map_count_at + 8 + 16 * state.primary_map.size() + 8;
-  const auto parse_with = [&](size_t offset, uint64_t value) {
-    std::vector<uint8_t> mutated = bytes;
-    for (size_t i = 0; i < 8; ++i) {
-      mutated[offset + i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-    return ParseCheckpoint(mutated, kCheckpointPages).status();
-  };
-  ASSERT_OK(parse_with(map_count_at, state.primary_map.size()));
-  ASSERT_OK(parse_with(paddr_count_at, state.validity[0].size()));
-  for (const uint64_t count : {uint64_t{1} << 61, ~uint64_t{0}, uint64_t{1} << 20}) {
-    EXPECT_EQ(parse_with(map_count_at, count).code(), StatusCode::kDataLoss) << count;
-    EXPECT_EQ(parse_with(paddr_count_at, count).code(), StatusCode::kDataLoss) << count;
+// Earlier builds shut down cleanly by writing the map, validity sets and snapshot tree
+// as a run of kCheckpoint pages at the log tail. Such a device reopens through full
+// recovery to the state it held before the shutdown, fsck accepts it, and the stale
+// pages never shadow writes made after the reopen.
+TEST(RecoveryTest, RetiredCheckpointPagesAreIgnored) {
+  const FtlConfig config = SmallConfig();
+  FtlHarness h(config);
+  ReferenceModel model;
+  for (uint64_t lba = 0; lba < 25; ++lba) {
+    ASSERT_OK(h.Write(lba, lba + 7));
+    model.Write(lba, lba + 7);
   }
+  ASSERT_OK_AND_ASSIGN(uint32_t snap, h.Snapshot("kept"));
+  model.Snapshot(snap);
+  ASSERT_OK(h.Write(3, 1234));
+  model.Write(3, 1234);
+  ASSERT_OK_AND_ASSIGN(auto map_before, h.ftl().ViewMapEntries(kPrimaryView));
+  ASSERT_EQ(map_before[3].first, 3u);
+  const uint64_t newest = map_before[3].second;
+
+  std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
+  constexpr uint32_t kPages = 3;
+  ASSERT_LE(device->NextFreePage(device->SegmentOf(newest)) + kPages,
+            config.nand.pages_per_segment);
+  for (uint32_t i = 0; i < kPages; ++i) {
+    PageHeader header;
+    header.type = RecordType::kCheckpoint;
+    header.lba = i;              // Page index within the checkpoint.
+    header.snap_id = 0x1234;     // Checkpoint id.
+    header.trim_count = kPages;  // Pages in the checkpoint.
+    header.seq = device->PeekHeader(newest).seq + 1 + i;
+    ASSERT_OK(ProgramAtTail(device.get(), newest, header,
+                            PageData(config.nand.page_size_bytes, i, 1), h.now()));
+  }
+  ASSERT_OK_AND_ASSIGN(FsckReport report, FsckDevice(device.get()));
+  EXPECT_TRUE(report.recovery_ok);
+  EXPECT_TRUE(report.Clean()) << FormatFsckReport(report);
+
+  ASSERT_OK(h.Reopen(std::move(device)));
+  ASSERT_OK_AND_ASSIGN(auto map_after, h.ftl().ViewMapEntries(kPrimaryView));
+  EXPECT_EQ(map_after, map_before);
+  EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 25));
+  ASSERT_OK_AND_ASSIGN(SnapshotInfo info, h.ftl().snapshot_tree().Get(snap));
+  EXPECT_EQ(info.name, "kept");
+  ASSERT_OK_AND_ASSIGN(uint32_t view, h.Activate(snap));
+  EXPECT_TRUE(h.CheckView(view, model.snapshot_state(snap), 25));
+  ASSERT_OK(h.ftl().Deactivate(view, h.now()));
+
+  // Writes after the reopen follow the stale pages in the log and win.
+  ASSERT_OK(h.Write(0, 2));
+  model.Write(0, 2);
+  ASSERT_OK(h.Write(1, 3));
+  model.Write(1, 3);
+  ASSERT_OK(h.CrashAndReopen());
+  EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 25));
 }
 
-// Map and validity entries are untrusted too: the map bulk-loads as stored, so its lbas
-// must strictly increase, and every paddr must name a page of the device.
-TEST(CheckpointFormatTest, HostileEntriesAreDataLoss) {
-  const auto parse = [](std::vector<std::pair<uint64_t, uint64_t>> map,
-                        std::vector<uint64_t> valid) {
-    CheckpointState state;
-    state.primary_map = std::move(map);
-    state.validity[0] = std::move(valid);
-    return ParseCheckpoint(SerializeCheckpoint(state), kCheckpointPages);
-  };
-  const uint64_t last = kCheckpointPages - 1;
-  ASSERT_OK_AND_ASSIGN(CheckpointState parsed, parse({{1, 10}, {2, last}}, {10, last}));
-  EXPECT_EQ(parsed.primary_map.back().second, last);
-  EXPECT_EQ(parsed.validity[0].back(), last);
-
-  const struct {
-    const char* what;
-    StatusOr<CheckpointState> result;
-    const char* names;
-  } cases[] = {
-      {"descending lbas", parse({{2, 10}, {1, 11}}, {10, 11}), "map entry 1"},
-      {"duplicate lba", parse({{1, 10}, {1, 11}}, {10, 11}), "map entry 1"},
-      {"map paddr", parse({{1, 10}, {2, kCheckpointPages}}, {10}), "map entry 1"},
-      {"validity paddr", parse({{1, 10}}, {10, kCheckpointPages}), "validity entry 1"},
-  };
-  for (const auto& c : cases) {
-    EXPECT_EQ(c.result.status().code(), StatusCode::kDataLoss) << c.what;
-    EXPECT_NE(c.result.status().message().find(c.names), std::string::npos)
-        << c.what << ": " << c.result.status();
+// A trim summary is untrusted bytes: one whose entry count its payload cannot hold is
+// skipped with a warning, and both Ftl::Open and fsck keep going.
+TEST(RecoveryTest, HostileTrimSummaryIsSkipped) {
+  const FtlConfig config = SmallConfig();
+  FtlHarness h(config);
+  ReferenceModel model;
+  for (uint64_t lba = 0; lba < 10; ++lba) {
+    ASSERT_OK(h.Write(lba, lba + 1));
+    model.Write(lba, lba + 1);
   }
+  ASSERT_OK_AND_ASSIGN(auto map, h.ftl().ViewMapEntries(kPrimaryView));
+  const uint64_t newest = map.back().second;  // lba 9.
+  std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
+  PageHeader header;
+  header.type = RecordType::kTrimSummary;
+  header.seq = device->PeekHeader(newest).seq + 1;
+  ASSERT_OK(
+      ProgramAtTail(device.get(), newest, header, {0xff, 0xff, 0xff, 0xff}, h.now()));
+
+  ASSERT_OK_AND_ASSIGN(FsckReport report, FsckDevice(device.get()));
+  EXPECT_TRUE(report.recovery_ok);
+  ASSERT_OK(h.Reopen(std::move(device)));
+  EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 10));
 }
 
 }  // namespace

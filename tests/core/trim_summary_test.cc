@@ -40,6 +40,20 @@ TEST(TrimSummaryTest, EmptyAndTruncated) {
   EXPECT_FALSE(DecodeTrimSummary(truncated).ok());
 }
 
+// The entry count is untrusted: one the payload cannot hold is kDataLoss before anything
+// is reserved for it.
+TEST(TrimSummaryTest, HostileCountIsDataLoss) {
+  EXPECT_EQ(DecodeTrimSummary({0xff, 0xff, 0xff, 0xff}).status().code(),
+            StatusCode::kDataLoss);
+
+  std::vector<uint8_t> payload = EncodeTrimSummary({{1, 1, 1, 1}, {2, 1, 1, 2}}, 0, 2);
+  payload[0] = 3;  // One entry more than the payload holds.
+  EXPECT_EQ(DecodeTrimSummary(payload).status().code(), StatusCode::kDataLoss);
+  payload[0] = 2;
+  ASSERT_OK_AND_ASSIGN(std::vector<TrimEntry> decoded, DecodeTrimSummary(payload));
+  EXPECT_EQ(decoded.size(), 2u);
+}
+
 TEST(TrimSummaryTest, EntriesPerPageLeavesRoomForHeader) {
   EXPECT_EQ(TrimEntriesPerPage(4096), (4096u - 4) / 24);
   EXPECT_GT(TrimEntriesPerPage(512), 20u);

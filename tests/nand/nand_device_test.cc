@@ -211,8 +211,8 @@ TEST(NandDeviceTest, HeaderOnlyModeDropsPayload) {
   ASSERT_OK(dev.ReadPage(paddr, 0, nullptr, &read_data).status());
   EXPECT_TRUE(read_data.empty());
 
-  // ... but checkpoint pages keep payloads even in header-only mode.
-  header.type = RecordType::kCheckpoint;
+  // ... but tree summaries keep payloads even in header-only mode.
+  header.type = RecordType::kTreeSummary;
   ASSERT_OK(dev.ProgramPage(0, header, data, 0, &paddr).status());
   ASSERT_OK(dev.ReadPage(paddr, 0, nullptr, &read_data).status());
   EXPECT_EQ(read_data, data);

@@ -266,28 +266,20 @@ class FtlHarness {
     return ::testing::AssertionSuccess();
   }
 
-  // Simulates a crash (no checkpoint) and reopens the device. With
-  // `clear_faults`, the power cycle also disarms any fault-injection schedule
-  // (media damage persists) so recovery itself runs on a working device.
+  // Releases the device (a crash or a clean shutdown: the two are the same) and reopens
+  // it through full recovery. With `clear_faults`, the power cycle also disarms any
+  // fault-injection schedule (media damage persists) so recovery itself runs on a
+  // working device.
   Status CrashAndReopen(bool clear_faults = false) {
     std::unique_ptr<NandDevice> device = ftl_->ReleaseDevice();
     if (clear_faults) {
       device->ClearFaults();
     }
-    uint64_t finish = now_;
-    auto reopened = Ftl::Open(config_, std::move(device), now_, &finish);
-    if (!reopened.ok()) {
-      return reopened.status();
-    }
-    ftl_ = std::move(reopened).value();
-    now_ = std::max(now_, finish);
-    return OkStatus();
+    return Reopen(std::move(device));
   }
 
-  // Clean shutdown (checkpoint) and reopen.
-  Status CleanRestart() {
-    RETURN_IF_ERROR(ftl_->CheckpointAndClose(now_));
-    std::unique_ptr<NandDevice> device = ftl_->ReleaseDevice();
+  // Opens a new Ftl over a device released from this harness's Ftl.
+  Status Reopen(std::unique_ptr<NandDevice> device) {
     uint64_t finish = now_;
     auto reopened = Ftl::Open(config_, std::move(device), now_, &finish);
     if (!reopened.ok()) {

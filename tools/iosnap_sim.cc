@@ -77,8 +77,8 @@ Snapshots:
   --activate_last        activate + verify the newest snapshot at the end
 
 Lifecycle:
-  --crash_and_recover    crash (no checkpoint) and reopen at the end
-  --checkpoint           clean shutdown + reopen at the end
+  --crash_and_recover    release the device and reopen it through full recovery
+                         at the end (a crash and a clean shutdown are the same)
   --timeline             print a latency timeline CSV (100 ms buckets)
 
 Fault injection (all rates in failures per million ops; 0 = disabled):
@@ -134,7 +134,7 @@ const std::vector<std::string> kKnownFlags = {
     "lba_frac", "read_frac", "zipf_theta", "qd", "batch", "queues", "iodepth", "seed",
     "snapshot_every",
     "snapshots",
-    "keep_snapshots", "activate_last", "crash_and_recover", "checkpoint", "timeline",
+    "keep_snapshots", "activate_last", "crash_and_recover", "timeline",
     "parity_stripe", "wear_leveling_threshold",
     "fault_seed", "fault_program_ppm", "fault_erase_ppm", "fault_read_ppm",
     "fault_corrupt_ppm", "crash_after_op", "read_retry_limit",
@@ -570,25 +570,6 @@ int main(int argc, char** argv) {
                 NsToMs(finish - start),
                 (unsigned long long)*ftl->ViewMapEntryCount(kPrimaryView),
                 ftl->snapshot_tree().LiveSnapshotIds().size());
-  } else if (flags.GetBool("checkpoint", false)) {
-    std::printf("\ncheckpoint + clean reopen...\n");
-    Status checkpointed = ftl->CheckpointAndClose(clock.NowNs());
-    if (!checkpointed.ok()) {
-      if (!faults_armed) {
-        IOSNAP_CHECK_OK(checkpointed);
-      }
-      // Fall back to crash-style recovery: the reopen below takes the full-scan path.
-      std::printf("checkpoint failed under injected faults: %s\n",
-                  checkpointed.ToString().c_str());
-    }
-    std::unique_ptr<NandDevice> media = ftl->ReleaseDevice();
-    media->ClearFaults();
-    const uint64_t start = clock.NowNs();
-    uint64_t finish = start;
-    auto reopened = Ftl::Open(config, std::move(media), start, &finish, trace.get());
-    IOSNAP_CHECK(reopened.ok());
-    ftl = std::move(reopened).value();
-    std::printf("reopened from checkpoint in %.2f ms\n", NsToMs(finish - start));
   }
 
   if (trace != nullptr) {
@@ -646,8 +627,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!image_out.empty()) {
-    // At-rest media snapshot for iosnap_fsck: taken after any crash/checkpoint
-    // reopen above, so the image reflects exactly what a restarted host would see.
+    // At-rest media snapshot for iosnap_fsck: taken after any reopen above, so the
+    // image reflects exactly what a restarted host would see.
     Status saved = SaveNandImage(ftl->device(), image_out);
     if (!saved.ok()) {
       std::fprintf(stderr, "failed to write --image_out=%s: %s\n", image_out.c_str(),

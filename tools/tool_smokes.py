@@ -9,6 +9,10 @@ keep every one of their assertions.
   tool_smokes.py CASE --sim PATH --fsck PATH --analyze PATH
 
 Cases:
+  fault_sim        live program/read fault rates with snapshots, then a release and
+                   reopen through full recovery: the metrics JSON parses
+  copyback_faults  the same with copyback GC on two buses (scrub on): the run survives
+                   the reopen and copies pages on-die
   fsck_repair      a parity image with latent wear corruption: fsck exits 1 (dirty)
                    and counts stripe-rebuildable pages, --repair exits 0, and a
                    second fsck exits 0 (clean)
@@ -43,6 +47,26 @@ def run(args, want_rc):
     if want_rc is not None and proc.returncode != want_rc:
         fail("%s exited %d, want %d" % (os.path.basename(args[0]), proc.returncode, want_rc))
     return proc.returncode, output
+
+
+def fault_sim(tools):
+    run([tools.sim, "--workload=randwrite", "--device_mib=64", "--ops=20000",
+         "--snapshot_every=2000", "--fault_seed=7", "--fault_program_ppm=500",
+         "--fault_read_ppm=500", "--crash_and_recover",
+         "--metrics_out=fault_metrics.json"], 0)
+    with open("fault_metrics.json") as f:
+        json.load(f)
+
+
+def copyback_faults(tools):
+    run([tools.sim, "--workload=randwrite", "--device_mib=64", "--ops=20000",
+         "--snapshot_every=2000", "--lba_frac=0.5", "--buses=2", "--copyback=1",
+         "--fault_seed=7", "--fault_program_ppm=500", "--fault_read_ppm=500",
+         "--crash_and_recover", "--metrics_out=fault_cb_metrics.json"], 0)
+    with open("fault_cb_metrics.json") as f:
+        m = json.load(f)
+    if not m["nand.copyback_pages"] > 0:
+        fail("nand.copyback_pages = %s" % m.get("nand.copyback_pages"))
 
 
 def fsck_repair(tools):
@@ -124,8 +148,8 @@ def analyze_garbage(tools):
             fail("analyzer error does not name %s '%s'" % (column, text))
 
 
-CASES = {f.__name__: f for f in (fsck_repair, hostile_image, parity_rebuild,
-                                 analyze_garbage)}
+CASES = {f.__name__: f for f in (fault_sim, copyback_faults, fsck_repair,
+                                 hostile_image, parity_rebuild, analyze_garbage)}
 
 
 def main():
