@@ -250,33 +250,30 @@ inline std::unique_ptr<Ftl> MustCreate(const FtlConfig& config) {
   return ftl;
 }
 
-// Sequentially prefills `pages` pages starting at LBA 0 and drains the device.
-inline void Prefill(Ftl* ftl, SimClock* clock, uint64_t pages, uint64_t queue_depth = 16) {
+// Writes `pages` ops from `fill` in groups of 16 and drains the device.
+inline void RunPrefill(Ftl* ftl, SimClock* clock, Workload* fill, uint64_t pages) {
   // Prefill traffic would only be overwritten in the ring before the measured phase;
   // pause tracing so it costs nothing and the ring holds the interesting window.
   TracePauseGuard pause(GlobalBenchEnv().trace.get());
-  FtlTarget target(ftl);
-  Runner runner(&target, clock, ftl->config().nand.page_size_bytes);
-  SequentialWorkload fill(IoKind::kWrite, 0, pages);
+  Runner runner(ftl, clock);
   RunOptions options;
-  options.queue_depth = queue_depth;
-  auto result = runner.Run(&fill, pages, options);
+  options.batch = 16;
+  auto result = runner.Run(fill, pages, options);
   IOSNAP_CHECK(result.ok());
   clock->AdvanceTo(result->drain_end_ns);
+}
+
+// Sequentially prefills `pages` pages starting at LBA 0 and drains the device.
+inline void Prefill(Ftl* ftl, SimClock* clock, uint64_t pages) {
+  SequentialWorkload fill(IoKind::kWrite, 0, pages);
+  RunPrefill(ftl, clock, &fill, pages);
 }
 
 // Randomly prefills `pages` writes over [0, lba_space) and drains.
 inline void PrefillRandom(Ftl* ftl, SimClock* clock, uint64_t pages, uint64_t lba_space,
                           uint64_t seed) {
-  TracePauseGuard pause(GlobalBenchEnv().trace.get());
-  FtlTarget target(ftl);
-  Runner runner(&target, clock, ftl->config().nand.page_size_bytes);
   RandomWorkload fill(IoKind::kWrite, lba_space, seed);
-  RunOptions options;
-  options.queue_depth = 16;
-  auto result = runner.Run(&fill, pages, options);
-  IOSNAP_CHECK(result.ok());
-  clock->AdvanceTo(result->drain_end_ns);
+  RunPrefill(ftl, clock, &fill, pages);
 }
 
 // Pretty-printing helpers.

@@ -12,7 +12,6 @@
 
 #include "bench/bench_common.h"
 #include "src/baseline/cow_store.h"
-#include "src/baseline/cow_target.h"
 
 namespace iosnap {
 namespace {

@@ -30,11 +30,10 @@ void RunCase(const LimitCase& c, bool print_timeline) {
   // Half the data before each snapshot, covering [0, 2*half) so foreground reads always
   // hit mapped blocks.
   auto fill_range = [&](uint64_t start) {
-    FtlTarget target(ftl.get());
-    Runner runner(&target, &clock, config.nand.page_size_bytes);
+    Runner runner(ftl.get(), &clock);
     SequentialWorkload fill(IoKind::kWrite, start, half);
     RunOptions options;
-    options.queue_depth = 16;
+    options.batch = 16;
     auto result = runner.Run(&fill, half, options);
     IOSNAP_CHECK(result.ok());
     clock.AdvanceTo(result->drain_end_ns);

@@ -43,8 +43,7 @@ double RunCase(const std::string& pattern, IoKind kind, uint32_t queues,
     Prefill(ftl.get(), &clock, lba_space);
   }
 
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
   std::unique_ptr<Workload> workload;
   if (pattern == "seq") {
     workload = std::make_unique<SequentialWorkload>(kind, 0, lba_space, /*wrap=*/true);

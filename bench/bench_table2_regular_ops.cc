@@ -16,6 +16,7 @@ constexpr uint64_t kWriteQd = 64;         // Async writes (paper: 2 threads, asy
 constexpr uint64_t kSeqReadQd = 64;       // Prefetch-friendly sequential reads.
 constexpr uint64_t kRandReadQd = 2;       // Paper: two reader threads, sync reads.
 
+// `batch` = 0 runs the paper's job for the pattern: one group of ops per queue depth.
 double RunCase(bool snapshots_enabled, const std::string& pattern, IoKind kind,
                uint64_t seed, uint64_t batch = 0) {
   FtlConfig config = BenchConfig();
@@ -28,8 +29,7 @@ double RunCase(bool snapshots_enabled, const std::string& pattern, IoKind kind,
     Prefill(ftl.get(), &clock, lba_space);
   }
 
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
   std::unique_ptr<Workload> workload;
   if (pattern == "seq") {
     workload = std::make_unique<SequentialWorkload>(kind, 0, lba_space, /*wrap=*/true);
@@ -39,11 +39,11 @@ double RunCase(bool snapshots_enabled, const std::string& pattern, IoKind kind,
 
   RunOptions options;
   if (batch > 0) {
-    options.batch = batch;  // Vectored submission through WriteV/ReadV.
+    options.batch = batch;
   } else if (kind == IoKind::kWrite) {
-    options.queue_depth = kWriteQd;
+    options.batch = kWriteQd;
   } else {
-    options.queue_depth = pattern == "seq" ? kSeqReadQd : kRandReadQd;
+    options.batch = pattern == "seq" ? kSeqReadQd : kRandReadQd;
   }
   const uint64_t start = clock.NowNs();
   auto result = runner.Run(workload.get(), kIoPages, options);
@@ -69,7 +69,7 @@ void Row(const char* label, const std::string& pattern, IoKind kind) {
   BenchRecord("table2." + BenchSlug(label) + ".iosnap_mbps", iosnap.stats.mean());
 }
 
-// Same patterns on ioSnap via vectored submission (--batch), one column per size.
+// Same patterns on ioSnap at fixed group sizes (--batch), one column per size.
 void BatchRow(const char* label, const std::string& pattern, IoKind kind,
               const std::vector<uint64_t>& batches) {
   std::printf("%-18s", label);

@@ -169,7 +169,7 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     return 0;
   }
   if (entries.size() == 1) {
-    // A batch of one is the scalar insert; skip the sort/descent machinery.
+    // A batch of one is the scalar insert; skip the memoized-descent machinery.
     const uint64_t key = entries[0].first;
     const uint64_t value = entries[0].second;
     if (old_values != nullptr) {
@@ -184,22 +184,17 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     }
     return Insert(key, value) ? 1 : 0;
   }
-  // Sort (key, original index) pairs: the index tiebreak keeps equal keys in submission
-  // order, so the overwrite chain (and the replaced value reported for each duplicate)
-  // matches entry-by-entry insertion.
-  std::vector<std::pair<uint64_t, uint32_t>> order(entries.size());
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    order[i] = {entries[i].first, i};
-  }
-  std::sort(order.begin(), order.end());
-
-  // Memoized descent: keys arrive in ascending order, so consecutive keys usually land
-  // in the same subtree. The path stack records, per level, the chosen child and the
-  // *effective* upper separator bound (the tightest ancestor separator above it). A new
-  // key pops only the suffix of levels whose range it has left, then re-descends from
-  // the surviving ancestor — same-leaf keys cost one comparison, not a full descent.
+  // Entries apply in submission order, so splits happen exactly where entry-by-entry
+  // Insert would put them and the tree's layout does not depend on the batching.
+  //
+  // Memoized descent: while keys ascend, consecutive keys usually land in the same
+  // subtree. The path stack records, per level, the chosen child and the *effective*
+  // upper separator bound (the tightest ancestor separator above it). A new key pops
+  // only the suffix of levels whose range it has left, then re-descends from the
+  // surviving ancestor — same-leaf keys cost one comparison, not a full descent.
   // Bounds nest (each child's effective bound <= its parent's), so checking the deepest
-  // surviving entry is enough.
+  // surviving entry is enough. The path tracks no lower bounds, so a key smaller than
+  // its predecessor restarts the descent from the root.
   struct PathEntry {
     InternalNode* node;
     Node* child;
@@ -238,18 +233,19 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
 
   size_t inserted = 0;
   size_t i = 0;
-  const size_t n = order.size();
+  const size_t n = entries.size();
   while (i < n) {
-    const uint64_t key = order[i].first;
-    const uint32_t idx = order[i].second;
-    const uint64_t value = entries[idx].second;
+    const auto [key, value] = entries[i];
+    if (i > 0 && key < entries[i - 1].first) {
+      depth = 0;
+    }
     LeafNode* leaf = find_leaf(key);
     uint64_t* lend = leaf->keys + leaf->count;
     uint64_t* lit = std::lower_bound(leaf->keys, lend, key);
     const int pos = static_cast<int>(lit - leaf->keys);
     if (lit != lend && *lit == key) {
       if (old_values != nullptr) {
-        (*old_values)[idx] = leaf->values[pos];
+        (*old_values)[i] = leaf->values[pos];
       }
       leaf->values[pos] = value;
       ++i;
@@ -320,8 +316,8 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
       ++i;
       continue;
     }
-    // Fresh key with room. Extend to the longest run of strictly-ascending batch keys
-    // that stay inside this leaf's separator range and this inter-key gap, and fit —
+    // Fresh key with room. Extend to the longest run of next batch keys that ascend
+    // strictly, stay inside this leaf's separator range and this inter-key gap, and fit —
     // then splice the whole run in with one shift. This is where sequential LBA bursts
     // (the FTL's common case) collapse k per-key searches and shifts into one.
     const bool gap_bounded = pos < leaf->count;  // Run must stay below keys[pos]...
@@ -331,8 +327,8 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     size_t run = 1;
     uint64_t prev_key = key;
     while (i + run < n && leaf->count + static_cast<int>(run) < kCapacity) {
-      const uint64_t k = order[i + run].first;
-      if (k == prev_key || (gap_bounded && k >= leaf->keys[pos]) ||
+      const uint64_t k = entries[i + run].first;
+      if (k <= prev_key || (gap_bounded && k >= leaf->keys[pos]) ||
           (hi_bounded && k >= hi)) {
         break;
       }
@@ -343,8 +339,8 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     std::memmove(leaf->keys + pos + run, leaf->keys + pos, tail * sizeof(uint64_t));
     std::memmove(leaf->values + pos + run, leaf->values + pos, tail * sizeof(uint64_t));
     for (size_t r = 0; r < run; ++r) {
-      leaf->keys[pos + r] = order[i + r].first;
-      leaf->values[pos + r] = entries[order[i + r].second].second;
+      leaf->keys[pos + r] = entries[i + r].first;
+      leaf->values[pos + r] = entries[i + r].second;
     }
     leaf->count += static_cast<int>(run);
     size_ += run;

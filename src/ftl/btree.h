@@ -51,11 +51,13 @@ class BPlusTree {
   // non-null it receives, per input entry, the value that entry replaced — nullopt when
   // the key was absent at that point.
   //
-  // The batch is sorted, then applied with a memoized root-to-leaf path: consecutive
-  // keys that stay inside the current subtree skip the descent, runs of ascending keys
-  // landing in one leaf gap are spliced with a single shift, and leaf splits push their
-  // separator up the memoized path instead of re-descending. Sequential LBA bursts —
-  // the FTL's common case — approach one tree search per leaf rather than per key.
+  // The batch applies in submission order, so the resulting node layout (and
+  // MemoryBytes) is the one entry-by-entry Insert builds. A memoized root-to-leaf path
+  // lets ascending keys that stay inside the current subtree skip the descent, runs of
+  // ascending keys landing in one leaf gap are spliced with a single shift, and leaf
+  // splits push their separator up the memoized path instead of re-descending.
+  // Sequential LBA bursts — the FTL's common case — approach one tree search per leaf
+  // rather than per key.
   size_t InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> entries,
                      std::vector<std::optional<uint64_t>>* old_values = nullptr);
 

@@ -371,6 +371,9 @@ Status LogManager::AppendBatch(int head, std::span<const AppendRequest> requests
       results_out->push_back(AppendResult{run_paddrs[i], run_ops[i]});
     }
     next += done;
+    if (done > 0) {
+      reroutes = 0;  // A new record leads the remainder; its budget starts fresh.
+    }
     if (!run_status.ok()) {
       if (run_status.code() == StatusCode::kDataLoss && reroutes < kMaxAppendReroutes) {
         // Program failure mid-run: the segment is now a bad block. Re-drive the

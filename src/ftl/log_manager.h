@@ -96,7 +96,8 @@ class LogManager {
   // not atomic. On any error, `results_out` holds one entry per record that WAS durably
   // appended (a prefix of `requests`) — the caller must apply that prefix's effects
   // before propagating the error. Program failures reroute to a fresh segment like
-  // Append; a mid-batch crash returns kUnavailable with the torn prefix in place.
+  // Append, with the same kMaxAppendReroutes budget per record; a mid-batch crash
+  // returns kUnavailable with the torn prefix in place.
   // `issue_at` (empty, or one non-decreasing time per record with issue_at[0] >=
   // issue_ns) staggers the records' issue times — the multi-queue path, where ops
   // admitted at different times commit as one batch.

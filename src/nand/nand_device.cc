@@ -263,12 +263,6 @@ StatusOr<NandOp> NandDevice::ReadPage(uint64_t paddr, uint64_t issue_ns,
   if (!pages_[paddr].programmed) {
     return FailedPrecondition("read: page " + std::to_string(paddr) + " is not programmed");
   }
-  return ReadCommit(paddr, issue_ns, header_out, data_out);
-}
-
-StatusOr<NandOp> NandDevice::ReadCommit(uint64_t paddr, uint64_t issue_ns,
-                                        PageHeader* header_out,
-                                        std::vector<uint8_t>* data_out) {
   RETURN_IF_ERROR(fault_.BeginOp());
   // The sense itself wears the media: count it against the segment and roll the
   // state-dependent corruption dice before any verification below.
@@ -318,7 +312,7 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
     return OutOfRange("copyback: segment " + std::to_string(dst_segment) +
                       " out of range");
   }
-  const SegmentState& seg = segments_[dst_segment];
+  SegmentState& seg = segments_[dst_segment];
   if (seg.bad) {
     return DataLoss("copyback: segment " + std::to_string(dst_segment) +
                     " is a grown bad block");
@@ -331,13 +325,7 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
     return ResourceExhausted("copyback: segment " + std::to_string(dst_segment) +
                              " is full");
   }
-  return CopybackCommit(src_paddr, dst_segment, issue_ns, paddr_out);
-}
-
-StatusOr<NandOp> NandDevice::CopybackCommit(uint64_t src_paddr, uint64_t dst_segment,
-                                            uint64_t issue_ns, uint64_t* paddr_out) {
   RETURN_IF_ERROR(fault_.BeginOp());
-  SegmentState& seg = segments_[dst_segment];
   const uint64_t dst_paddr = FirstPageOf(dst_segment) + seg.next_page;
   const uint32_t src_chan = ChannelOfPage(src_paddr);
   const uint32_t dst_chan = ChannelOfPage(dst_paddr);
@@ -439,61 +427,6 @@ StatusOr<NandOp> NandDevice::CopybackCommit(uint64_t src_paddr, uint64_t dst_seg
     *paddr_out = dst_paddr;
   }
   return op;
-}
-
-Status NandDevice::CopybackBatch(std::span<const uint64_t> src_paddrs,
-                                 uint64_t dst_segment, uint64_t issue_ns,
-                                 std::vector<uint64_t>* paddrs_out,
-                                 std::vector<NandOp>* ops_out) {
-  if (dst_segment >= config_.num_segments) {
-    return OutOfRange("copyback-batch: segment " + std::to_string(dst_segment) +
-                      " out of range");
-  }
-  const SegmentState& seg = segments_[dst_segment];
-  if (seg.bad) {
-    return DataLoss("copyback-batch: segment " + std::to_string(dst_segment) +
-                    " is a grown bad block");
-  }
-  if (!seg.erased) {
-    return FailedPrecondition("copyback-batch: segment " + std::to_string(dst_segment) +
-                              " was never erased");
-  }
-  if (seg.next_page + src_paddrs.size() > config_.pages_per_segment) {
-    return ResourceExhausted("copyback-batch: batch of " +
-                             std::to_string(src_paddrs.size()) + " overflows segment " +
-                             std::to_string(dst_segment));
-  }
-  for (uint64_t src_paddr : src_paddrs) {
-    if (src_paddr >= config_.TotalPages()) {
-      return OutOfRange("copyback-batch: src paddr out of range");
-    }
-    if (!pages_[src_paddr].programmed) {
-      return FailedPrecondition("copyback-batch: page " + std::to_string(src_paddr) +
-                                " is not programmed");
-    }
-  }
-
-  if (paddrs_out != nullptr) {
-    paddrs_out->reserve(paddrs_out->size() + src_paddrs.size());
-  }
-  if (ops_out != nullptr) {
-    ops_out->reserve(ops_out->size() + src_paddrs.size());
-  }
-  for (uint64_t src_paddr : src_paddrs) {
-    uint64_t dst_paddr = 0;
-    StatusOr<NandOp> op = CopybackCommit(src_paddr, dst_segment, issue_ns, &dst_paddr);
-    if (!op.ok()) {
-      // Torn batch: the committed prefix stays in the out-vectors.
-      return op.status();
-    }
-    if (paddrs_out != nullptr) {
-      paddrs_out->push_back(dst_paddr);
-    }
-    if (ops_out != nullptr) {
-      ops_out->push_back(*op);
-    }
-  }
-  return OkStatus();
 }
 
 StatusOr<NandOp> NandDevice::ReadPageWithRetry(uint64_t paddr, uint64_t issue_ns,

@@ -8,9 +8,9 @@
 //     virtual clock, so that background traffic (GC, snapshot activation) visibly
 //     delays foreground I/O exactly as device-bandwidth contention does in the
 //     paper's Figures 9 and 10;
-//   * an on-die copyback path (CopybackPage/CopybackBatch) that relocates a page
-//     without crossing a bus when source and destination share a channel — the GC
-//     copy-forward primitive that keeps cleaning traffic off the transfer path;
+//   * an on-die copyback path (CopybackPage) that relocates a page without crossing a
+//     bus when source and destination share a channel — the GC copy-forward primitive
+//     that keeps cleaning traffic off the transfer path;
 //   * wear accounting per segment;
 //   * cheap bulk header scans (the OOB area) used by activation and crash recovery.
 //
@@ -72,8 +72,8 @@ struct NandStats {
   uint64_t crc_errors = 0;        // Pages whose stored CRC failed verification.
   uint64_t pages_corrupted = 0;   // Pages silently corrupted at program time.
   uint64_t read_retries = 0;      // Extra attempts made by ReadPageWithRetry.
-  // Copyback path (on-die GC copy-forward). Zero unless CopybackPage/Batch is used.
-  uint64_t copyback_pages = 0;      // Pages relocated via CopybackPage/CopybackBatch.
+  // Copyback path (on-die GC copy-forward). Zero unless CopybackPage is used.
+  uint64_t copyback_pages = 0;      // Pages relocated via CopybackPage.
   uint64_t copyback_fallbacks = 0;  // Copybacks that crossed channels (read+program).
   // Wear model (read-disturb / retention-age corruption). Zero unless the
   // read_disturb_ppm_per_k_reads / retention_ppm_per_sec knobs are live.
@@ -140,14 +140,6 @@ class NandDevice {
   // program failures retire the destination block and return kDataLoss.
   StatusOr<NandOp> CopybackPage(uint64_t src_paddr, uint64_t dst_segment,
                                 uint64_t issue_ns, uint64_t* paddr_out);
-
-  // Copies `src_paddrs.size()` pages into consecutive next-free pages of
-  // `dst_segment`, all issued at `issue_ns` in one virtual-clock pass. Validated up
-  // front (a validation error copies nothing); a fault mid-batch leaves the committed
-  // prefix in the out-vectors, like ProgramBatch.
-  Status CopybackBatch(std::span<const uint64_t> src_paddrs, uint64_t dst_segment,
-                       uint64_t issue_ns, std::vector<uint64_t>* paddrs_out,
-                       std::vector<NandOp>* ops_out);
 
   // ReadPage with bounded retry: transient failures (kUnavailable) are retried up to
   // `max_attempts` total attempts; permanent errors (CRC mismatch -> kDataLoss,
@@ -314,16 +306,12 @@ class NandDevice {
   // Returns the completed NandOp with its span decomposition filled in (see NandOp).
   NandOp Occupy(uint32_t channel, uint64_t issue_ns, uint64_t bus_ns, uint64_t cell_ns);
 
-  // Post-validation single-page bodies shared by the scalar and batch entry points.
-  // These run the fault gates: crash check, injected program/read failures, silent
-  // corruption, and CRC verification on reads.
+  // Post-validation single-page program body shared by ProgramPage and ProgramBatch.
+  // It runs the fault gates: crash check, injected program failures and silent
+  // corruption.
   StatusOr<NandOp> ProgramCommit(uint64_t segment, const PageHeader& header,
                                  std::span<const uint8_t> data, uint64_t issue_ns,
                                  uint64_t* paddr_out);
-  StatusOr<NandOp> ReadCommit(uint64_t paddr, uint64_t issue_ns, PageHeader* header_out,
-                              std::vector<uint8_t>* data_out);
-  StatusOr<NandOp> CopybackCommit(uint64_t src_paddr, uint64_t dst_segment,
-                                  uint64_t issue_ns, uint64_t* paddr_out);
 
   // Wear model: counts a data read against `paddr`'s segment and, when the
   // read-disturb / retention knobs are live, rolls their corruption dice (rates

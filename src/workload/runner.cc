@@ -1,105 +1,106 @@
 #include "src/workload/runner.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "src/common/units.h"
 
 namespace iosnap {
+namespace {
 
-Status BlockTarget::DoOpV(std::span<const IoOp> ops, uint64_t issue_ns,
-                          std::vector<IoResult>* results) {
-  for (const IoOp& op : ops) {
-    ASSIGN_OR_RETURN(IoResult io, DoOp(op, issue_ns));
-    results->push_back(io);
+// Refills `group` with up to `n` ops from `workload`; false once it is exhausted.
+bool NextGroup(Workload* workload, uint64_t n, std::vector<IoOp>* group) {
+  group->clear();
+  while (group->size() < n) {
+    const std::optional<IoOp> op = workload->Next();
+    if (!op.has_value()) {
+      return false;
+    }
+    group->push_back(*op);
   }
-  return OkStatus();
+  return true;
 }
 
-StatusOr<IoResult> FtlTarget::DoOp(const IoOp& op, uint64_t issue_ns) {
-  switch (op.kind) {
-    case IoKind::kRead:
-      if (view_id_ == kPrimaryView) {
-        return ftl_->Read(op.lba, issue_ns, nullptr);
-      }
-      return ftl_->ReadView(view_id_, op.lba, issue_ns, nullptr);
-    case IoKind::kWrite:
-      if (view_id_ == kPrimaryView) {
-        return ftl_->Write(op.lba, {}, issue_ns);
-      }
-      return ftl_->WriteView(view_id_, op.lba, {}, issue_ns);
-    case IoKind::kTrim:
-      return ftl_->Trim(op.lba, op.count, issue_ns);
-  }
-  return InvalidArgument("unknown op kind");
+}  // namespace
+
+StatusOr<RunResult> Runner::Run(Workload* workload, uint64_t ops, const RunOptions& options) {
+  RunResult result;
+  result.start_ns = clock_->NowNs();
+  RETURN_IF_ERROR(options.queues > 0 ? RunQueued(workload, ops, options, &result)
+                                     : RunGroups(workload, ops, options, &result));
+  result.end_ns = clock_->NowNs();
+  result.drain_end_ns = std::max(result.end_ns, ftl_->device().DrainTimeNs());
+  return result;
 }
 
-Status FtlTarget::DoOpV(std::span<const IoOp> ops, uint64_t issue_ns,
-                        std::vector<IoResult>* results) {
-  std::vector<uint64_t> lbas;
+void Runner::Record(const IoResult& io, uint64_t hook_ns, const RunOptions& options,
+                    RunResult* result) const {
+  const uint64_t latency = io.LatencyNs();
+  result->latency.Add(latency);
+  if (options.record_timeline) {
+    result->timeline.Add(io.op.issue_ns, NsToUs(latency));
+  }
+  result->bytes += page_bytes_;
+  ++result->ops;
+  if (options.after_op) {
+    options.after_op(result->ops - 1, hook_ns);
+  }
+  if (options.sampler != nullptr) {
+    options.sampler->MaybeSample(io.CompletionNs());
+  }
+}
+
+Status Runner::RunGroups(Workload* workload, uint64_t ops, const RunOptions& options,
+                         RunResult* result) {
+  const uint64_t batch = std::max<uint64_t>(1, options.batch);
+  std::vector<IoOp> group;
   std::vector<WriteRequest> writes;
-  std::vector<TrimRequest> trims;
-  size_t i = 0;
-  while (i < ops.size()) {
-    const IoKind kind = ops[i].kind;
-    size_t j = i;
-    while (j < ops.size() && ops[j].kind == kind) {
-      ++j;
+  std::vector<uint64_t> lbas;
+  std::vector<IoResult> ios;
+  bool more = true;
+  while (more && result->ops < ops) {
+    const uint64_t now = clock_->NowNs();
+    ftl_->PumpBackground(now);
+    more = NextGroup(workload, std::min(batch, ops - result->ops), &group);
+
+    // One vectored call per maximal run of same-kind ops, all issued at `now`.
+    ios.clear();
+    for (size_t i = 0, j = 0; i < group.size(); i = j) {
+      const IoKind kind = group[i].kind;
+      writes.clear();
+      lbas.clear();
+      for (j = i; j < group.size() && group[j].kind == kind; ++j) {
+        if (kind == IoKind::kWrite) {
+          writes.push_back({group[j].lba, {}});
+        } else {
+          lbas.push_back(group[j].lba);
+        }
+      }
+      ASSIGN_OR_RETURN(std::vector<IoResult> run,
+                       kind == IoKind::kWrite ? ftl_->WriteV(writes, now)
+                                              : ftl_->ReadV(lbas, now, nullptr));
+      ios.insert(ios.end(), run.begin(), run.end());
     }
-    switch (kind) {
-      case IoKind::kRead: {
-        lbas.clear();
-        for (size_t k = i; k < j; ++k) {
-          lbas.push_back(ops[k].lba);
-        }
-        ASSIGN_OR_RETURN(std::vector<IoResult> ios,
-                         view_id_ == kPrimaryView
-                             ? ftl_->ReadV(lbas, issue_ns, nullptr)
-                             : ftl_->ReadViewV(view_id_, lbas, issue_ns, nullptr));
-        results->insert(results->end(), ios.begin(), ios.end());
-        break;
-      }
-      case IoKind::kWrite: {
-        writes.clear();
-        for (size_t k = i; k < j; ++k) {
-          writes.push_back({ops[k].lba, {}});
-        }
-        ASSIGN_OR_RETURN(std::vector<IoResult> ios,
-                         view_id_ == kPrimaryView
-                             ? ftl_->WriteV(writes, issue_ns)
-                             : ftl_->WriteViewV(view_id_, writes, issue_ns));
-        results->insert(results->end(), ios.begin(), ios.end());
-        break;
-      }
-      case IoKind::kTrim: {
-        trims.clear();
-        for (size_t k = i; k < j; ++k) {
-          trims.push_back({ops[k].lba, ops[k].count});
-        }
-        ASSIGN_OR_RETURN(std::vector<IoResult> ios, ftl_->TrimV(trims, issue_ns));
-        results->insert(results->end(), ios.begin(), ios.end());
-        break;
-      }
+
+    uint64_t group_end = now;
+    for (const IoResult& io : ios) {
+      group_end = std::max(group_end, io.CompletionNs());
+      Record(io, group_end, options, result);
     }
-    i = j;
+    clock_->AdvanceTo(group_end);
   }
   return OkStatus();
 }
 
-StatusOr<RunResult> Runner::RunQueued(Workload* workload, uint64_t ops,
-                                      const RunOptions& options) {
-  Ftl* ftl = target_->QueueFtl();
-  if (ftl == nullptr) {
-    return InvalidArgument("runner: target has no queued submission path");
-  }
+Status Runner::RunQueued(Workload* workload, uint64_t ops, const RunOptions& options,
+                         RunResult* result) {
   IoQueueLayer::Options qopts;
   qopts.queues = options.queues;
   qopts.iodepth = std::max<uint32_t>(1, options.iodepth);
-  IoQueueLayer layer(ftl, qopts);
+  IoQueueLayer layer(ftl_, qopts);
   const uint64_t batch = std::max<uint64_t>(1, options.batch);
 
-  RunResult result;
-  result.start_ns = clock_->NowNs();
   Status io_error;
   const auto account = [&](const IoCompletion& c) {
     if (!c.status.ok()) {
@@ -108,24 +109,13 @@ StatusOr<RunResult> Runner::RunQueued(Workload* workload, uint64_t ops,
       }
       return;
     }
-    const uint64_t latency = c.result.LatencyNs();
-    result.latency.Add(latency);
-    if (options.record_timeline) {
-      result.timeline.Add(c.result.op.issue_ns, NsToUs(latency));
-    }
-    result.bytes += page_bytes_;
-    ++result.ops;
-    if (options.after_op) {
-      options.after_op(result.ops - 1, c.CompletionNs());
-    }
-    if (options.sampler != nullptr) {
-      options.sampler->MaybeSample(c.CompletionNs());
-    }
+    Record(c.result, c.CompletionNs(), options, result);
   };
 
   uint64_t issued = 0;
   bool exhausted = false;
   uint32_t rr = 0;  // Round-robin queue cursor.
+  std::vector<IoOp> group;
   std::vector<QueueOp> sub;
   const auto any_free_slot = [&] {
     for (uint32_t q = 0; q < qopts.queues; ++q) {
@@ -137,10 +127,10 @@ StatusOr<RunResult> Runner::RunQueued(Workload* workload, uint64_t ops,
   };
   while (io_error.ok()) {
     const uint64_t now = clock_->NowNs();
-    // Pump only when about to admit work, mirroring the batch loop's cadence:
+    // Pump only when about to admit work, mirroring the group loop's cadence:
     // completions delivered mid-submission do not trigger background work on their own.
     if (!exhausted && issued < ops && any_free_slot()) {
-      target_->Pump(now);
+      ftl_->PumpBackground(now);
     }
     // Fill every free slot round-robin with `batch`-op submissions at `now`.
     while (!exhausted && issued < ops) {
@@ -157,31 +147,15 @@ StatusOr<RunResult> Runner::RunQueued(Workload* workload, uint64_t ops,
       if (!found) {
         break;
       }
-      sub.clear();
-      while (sub.size() < batch && issued + sub.size() < ops) {
-        const std::optional<IoOp> op = workload->Next();
-        if (!op.has_value()) {
-          exhausted = true;
-          break;
-        }
-        QueueOp qop;
-        switch (op->kind) {
-          case IoKind::kRead:
-            qop.kind = QueueOpKind::kRead;
-            break;
-          case IoKind::kWrite:
-            qop.kind = QueueOpKind::kWrite;
-            break;
-          case IoKind::kTrim:
-            qop.kind = QueueOpKind::kTrim;
-            qop.count = op->count;
-            break;
-        }
-        qop.lba = op->lba;
-        sub.push_back(qop);
-      }
-      if (sub.empty()) {
+      exhausted = !NextGroup(workload, std::min(batch, ops - issued), &group);
+      if (group.empty()) {
         break;
+      }
+      sub.resize(group.size());
+      for (size_t i = 0; i < group.size(); ++i) {
+        sub[i].kind = group[i].kind == IoKind::kWrite ? QueueOpKind::kWrite
+                                                      : QueueOpKind::kRead;
+        sub[i].lba = group[i].lba;
       }
       RETURN_IF_ERROR(layer.Submit(queue, sub, now).status());
       issued += sub.size();
@@ -201,115 +175,10 @@ StatusOr<RunResult> Runner::RunQueued(Workload* workload, uint64_t ops,
     account(c);
     clock_->AdvanceTo(c.CompletionNs());
   }
-  if (!io_error.ok()) {
-    return io_error;
-  }
-  result.queue_stats = layer.stats();
-  result.per_queue = layer.per_queue();
-  result.end_ns = clock_->NowNs();
-  result.drain_end_ns = std::max(result.end_ns, target_->DrainNs());
-  return result;
-}
-
-StatusOr<RunResult> Runner::Run(Workload* workload, uint64_t ops, const RunOptions& options) {
-  if (options.queues > 0) {
-    return RunQueued(workload, ops, options);
-  }
-
-  RunResult result;
-  result.start_ns = clock_->NowNs();
-
-  if (options.batch > 1) {
-    // Vectored mode: groups of `batch` ops go down the target's DoOpV path in one
-    // submission. Completion bookkeeping mirrors the scalar loop exactly.
-    std::vector<IoOp> batch_ops;
-    std::vector<IoResult> ios;
-    uint64_t issued = 0;
-    bool exhausted = false;
-    while (issued < ops && !exhausted) {
-      const uint64_t now = clock_->NowNs();
-      target_->Pump(now);
-
-      batch_ops.clear();
-      while (batch_ops.size() < options.batch && issued + batch_ops.size() < ops) {
-        const std::optional<IoOp> op = workload->Next();
-        if (!op.has_value()) {
-          exhausted = true;
-          break;
-        }
-        batch_ops.push_back(*op);
-      }
-      if (batch_ops.empty()) {
-        break;
-      }
-      ios.clear();
-      RETURN_IF_ERROR(target_->DoOpV(batch_ops, now, &ios));
-
-      uint64_t batch_end = now;
-      for (const IoResult& io : ios) {
-        const uint64_t latency = io.LatencyNs();
-        result.latency.Add(latency);
-        if (options.record_timeline) {
-          result.timeline.Add(now, NsToUs(latency));
-        }
-        result.bytes += page_bytes_;
-        batch_end = std::max(batch_end, io.CompletionNs());
-        ++result.ops;
-        ++issued;
-        if (options.after_op) {
-          options.after_op(result.ops - 1, batch_end);
-        }
-        if (options.sampler != nullptr) {
-          options.sampler->MaybeSample(io.CompletionNs());
-        }
-      }
-      clock_->AdvanceTo(batch_end);
-    }
-    result.end_ns = clock_->NowNs();
-    result.drain_end_ns = std::max(result.end_ns, target_->DrainNs());
-    return result;
-  }
-
-  const uint64_t queue_depth = std::max<uint64_t>(1, options.queue_depth);
-  uint64_t issued = 0;
-  while (issued < ops) {
-    const uint64_t now = clock_->NowNs();
-    target_->Pump(now);
-
-    // Issue a batch of queue_depth ops at the same instant; they queue per channel in the
-    // device, modeling a multi-threaded submitter. The clock advances to the slowest
-    // completion.
-    const uint64_t batch = std::min(queue_depth, ops - issued);
-    uint64_t batch_end = now;
-    for (uint64_t i = 0; i < batch; ++i) {
-      const std::optional<IoOp> op = workload->Next();
-      if (!op.has_value()) {
-        issued = ops;  // Workload exhausted.
-        break;
-      }
-      ASSIGN_OR_RETURN(IoResult io, target_->DoOp(*op, now));
-      const uint64_t latency = io.LatencyNs();
-      result.latency.Add(latency);
-      if (options.record_timeline) {
-        result.timeline.Add(now, NsToUs(latency));
-      }
-      result.bytes += page_bytes_;
-      batch_end = std::max(batch_end, io.CompletionNs());
-      ++result.ops;
-      ++issued;
-      if (options.after_op) {
-        options.after_op(result.ops - 1, batch_end);
-      }
-      if (options.sampler != nullptr) {
-        options.sampler->MaybeSample(io.CompletionNs());
-      }
-    }
-    clock_->AdvanceTo(batch_end);
-  }
-
-  result.end_ns = clock_->NowNs();
-  result.drain_end_ns = std::max(result.end_ns, target_->DrainNs());
-  return result;
+  RETURN_IF_ERROR(io_error);
+  result->queue_stats = layer.stats();
+  result->per_queue = layer.per_queue();
+  return OkStatus();
 }
 
 }  // namespace iosnap

@@ -1,22 +1,16 @@
 // Closed-loop workload runner on the virtual clock.
 //
-// The runner is the "foreground application" of the paper's experiments: it issues one
-// operation after another (optionally at queue depth > 1), gives the FTL's background
-// machinery a chance to run between operations, advances the shared SimClock to each
-// completion, and records per-op latency timelines — the raw material of Figures 7 and
-// 9-12.
-//
-// It drives any BlockTarget: the ioSnap FTL (primary view or an activated view) and the
-// Btrfs-like baseline store both implement the interface, so comparison benchmarks run
-// the identical loop.
+// The runner is the "foreground application" of the paper's experiments: it issues
+// groups of operations at one virtual instant (fio-style jobs at a fixed queue depth),
+// gives the FTL's background machinery a chance to run between groups, advances the
+// shared SimClock to each completion, and records per-op latency timelines — the raw
+// material of Figures 7 and 9-12. It drives the FTL's primary view.
 
 #ifndef SRC_WORKLOAD_RUNNER_H_
 #define SRC_WORKLOAD_RUNNER_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "src/common/sim_clock.h"
@@ -29,59 +23,17 @@
 
 namespace iosnap {
 
-// Device abstraction the runner drives.
-class BlockTarget {
- public:
-  virtual ~BlockTarget() = default;
-  virtual StatusOr<IoResult> DoOp(const IoOp& op, uint64_t issue_ns) = 0;
-  // Vectored submission: all ops issued at `issue_ns`, one result appended per op in
-  // submission order. The default loops over DoOp; targets with a native vectored path
-  // (FtlTarget) override it.
-  virtual Status DoOpV(std::span<const IoOp> ops, uint64_t issue_ns,
-                       std::vector<IoResult>* results);
-  // Advance background work to `now_ns` (default: nothing).
-  virtual void Pump(uint64_t now_ns) {}
-  virtual uint64_t LbaCount() const = 0;
-  // Earliest time all queued device work completes (throughput accounting).
-  virtual uint64_t DrainNs() const = 0;
-  // The Ftl to drive through an IoQueueLayer for multi-queue runs, or nullptr when
-  // the target has no queued path (baseline store, snapshot views).
-  virtual Ftl* QueueFtl() { return nullptr; }
-};
-
-// Adapts an Ftl view (default: primary) to BlockTarget.
-class FtlTarget : public BlockTarget {
- public:
-  explicit FtlTarget(Ftl* ftl, uint32_t view_id = kPrimaryView)
-      : ftl_(ftl), view_id_(view_id) {}
-
-  StatusOr<IoResult> DoOp(const IoOp& op, uint64_t issue_ns) override;
-  // Splits the ops into maximal same-kind runs and submits each through the FTL's
-  // vectored entry points (WriteV/ReadV/TrimV).
-  Status DoOpV(std::span<const IoOp> ops, uint64_t issue_ns,
-               std::vector<IoResult>* results) override;
-  void Pump(uint64_t now_ns) override { ftl_->PumpBackground(now_ns); }
-  uint64_t LbaCount() const override { return ftl_->LbaCount(); }
-  uint64_t DrainNs() const override { return ftl_->device().DrainTimeNs(); }
-  // Queued submission only drives the primary view.
-  Ftl* QueueFtl() override { return view_id_ == kPrimaryView ? ftl_ : nullptr; }
-
- private:
-  Ftl* ftl_;
-  uint32_t view_id_;
-};
-
 struct RunOptions {
-  uint64_t queue_depth = 1;   // Ops issued with a shared issue time per batch.
-  // Ops per vectored submission. 1 (the default) drives the scalar DoOp path — the
-  // pre-batching loop, bit for bit. Larger values group `batch` ops into one DoOpV
-  // call issued at a shared time (queue_depth is subsumed: the batch *is* the queue).
+  // Ops issued at one shared virtual time per group. A group goes to the FTL as one
+  // WriteV/ReadV per run of same-kind ops, which is bit-identical to issuing its ops
+  // one by one at that time; after_op runs for each of its ops once the whole group
+  // has completed.
   uint64_t batch = 1;
-  // Multi-queue submission: queues > 0 drives the target's Ftl through an
-  // IoQueueLayer with that many queue pairs, `iodepth` in-flight submissions per
-  // queue, and `batch` ops per submission. queues=1, iodepth=1 reproduces the batch
-  // mode bit for bit; deeper settings pipeline submissions so ops admitted at
-  // different times share one ordered commit.
+  // Multi-queue submission: queues > 0 drives the FTL through an IoQueueLayer with
+  // that many queue pairs, `iodepth` in-flight submissions per queue, and `batch` ops
+  // per submission. queues=1, iodepth=1 reproduces the queues=0 run bit for bit;
+  // deeper settings pipeline submissions so ops admitted at different times share one
+  // ordered commit.
   uint32_t queues = 0;
   uint32_t iodepth = 1;
   bool record_timeline = false;
@@ -110,16 +62,22 @@ struct RunResult {
 
 class Runner {
  public:
-  Runner(BlockTarget* target, SimClock* clock, uint64_t page_bytes)
-      : target_(target), clock_(clock), page_bytes_(page_bytes) {}
+  Runner(Ftl* ftl, SimClock* clock)
+      : ftl_(ftl), clock_(clock), page_bytes_(ftl->config().nand.page_size_bytes) {}
 
   // Runs `ops` operations from `workload` (or fewer if it is exhausted).
   StatusOr<RunResult> Run(Workload* workload, uint64_t ops, const RunOptions& options);
 
  private:
-  StatusOr<RunResult> RunQueued(Workload* workload, uint64_t ops,
-                                const RunOptions& options);
-  BlockTarget* target_;
+  Status RunGroups(Workload* workload, uint64_t ops, const RunOptions& options,
+                   RunResult* result);
+  Status RunQueued(Workload* workload, uint64_t ops, const RunOptions& options,
+                   RunResult* result);
+  // Accounts one completed op; `hook_ns` is the virtual time handed to after_op.
+  void Record(const IoResult& io, uint64_t hook_ns, const RunOptions& options,
+              RunResult* result) const;
+
+  Ftl* ftl_;
   SimClock* clock_;
   uint64_t page_bytes_;
 };

@@ -12,12 +12,11 @@
 
 namespace iosnap {
 
-enum class IoKind : uint8_t { kRead, kWrite, kTrim };
+enum class IoKind : uint8_t { kRead, kWrite };
 
 struct IoOp {
   IoKind kind = IoKind::kWrite;
   uint64_t lba = 0;
-  uint64_t count = 1;  // Only used by kTrim.
 };
 
 // A (possibly infinite) stream of operations.

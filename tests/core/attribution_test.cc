@@ -2,8 +2,9 @@
 //
 // Two guarantees are under test (see src/obs/latency.h):
 //  * Exactness — every recorded op's spans sum bit-exactly to its end-to-end latency,
-//    on every submission path (scalar, vectored, multi-queue at several depths), with
-//    the cleaner active, with snapshot CoW in the path, and with faults injected.
+//    on every submission path (groups of one and more ops, multi-queue at several
+//    depths), with the cleaner active, with snapshot CoW in the path, and with faults
+//    injected.
 //  * Non-perturbation — attaching the attributor changes no simulation outcome: stats,
 //    completion times, and the full per-op latency timeline are identical with
 //    attribution on and off.
@@ -39,19 +40,17 @@ FtlConfig TestConfig() {
 }
 
 struct RunSetup {
-  uint32_t queues = 0;    // 0 = scalar/batch path.
+  uint32_t queues = 0;    // 0 = the group loop.
   uint32_t iodepth = 1;
   uint64_t batch = 1;
-  uint64_t queue_depth = 1;
   bool faults = false;
   uint32_t buses = 1;
   bool copyback = false;  // Cleaner copy-forward via on-die copyback.
 
   std::string Label() const {
     return "queues=" + std::to_string(queues) + " iodepth=" + std::to_string(iodepth) +
-           " batch=" + std::to_string(batch) + " qd=" + std::to_string(queue_depth) +
-           " buses=" + std::to_string(buses) + (copyback ? " copyback" : "") +
-           (faults ? " faults" : "");
+           " batch=" + std::to_string(batch) + " buses=" + std::to_string(buses) +
+           (copyback ? " copyback" : "") + (faults ? " faults" : "");
   }
 };
 
@@ -87,14 +86,12 @@ RunOutput RunChurn(const RunSetup& setup, LatencyAttributor* attributor) {
   const uint64_t lba_space = ftl->LbaCount() * 3 / 4;
   const uint64_t ops = lba_space * 4;  // ~4x overwrite: steady GC.
   RandomWorkload workload(IoKind::kWrite, lba_space, /*seed=*/99);
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   RunOptions options;
   options.queues = setup.queues;
   options.iodepth = setup.iodepth;
   options.batch = setup.batch;
-  options.queue_depth = setup.queue_depth;
   options.record_timeline = true;
   // Snapshot held over the middle third of the run: long enough that overwrites hit
   // the frozen epoch's validity CoW path, deleted before pinned pages exhaust the
@@ -196,8 +193,8 @@ TEST(AttributionExactnessTest, MultiBusAndCopybackSumExactly) {
 
 TEST(AttributionExactnessTest, ScalarAndBatchPathsSumExactly) {
   for (const RunSetup& setup :
-       {RunSetup{.queue_depth = 1}, RunSetup{.queue_depth = 16},
-        RunSetup{.batch = 8}, RunSetup{.batch = 32}}) {
+       {RunSetup{.batch = 1}, RunSetup{.batch = 8}, RunSetup{.batch = 16},
+        RunSetup{.batch = 32}}) {
     LatencyAttributor attributor;
     const RunOutput out = RunChurn(setup, &attributor);
     ASSERT_GT(out.stats.gc_segments_cleaned, 0u) << setup.Label();
@@ -211,8 +208,7 @@ TEST(AttributionExactnessTest, HoldsUnderFaultInjection) {
     RunSetup setup;
     setup.queues = queues;
     setup.iodepth = queues > 0 ? 8 : 1;
-    setup.batch = queues > 0 ? 8 : 1;
-    setup.queue_depth = 8;
+    setup.batch = 8;
     setup.faults = true;
     LatencyAttributor attributor;
     const RunOutput out = RunChurn(setup, &attributor);
@@ -268,8 +264,7 @@ TEST(AttributionIdentityTest, DetachedRunsAreBitIdentical) {
     RunSetup setup;
     setup.queues = queues;
     setup.iodepth = queues > 0 ? 8 : 1;
-    setup.batch = queues > 0 ? 8 : 1;
-    setup.queue_depth = 8;
+    setup.batch = 8;
     LatencyAttributor attributor;
     const RunOutput with = RunChurn(setup, &attributor);
     const RunOutput without = RunChurn(setup, nullptr);

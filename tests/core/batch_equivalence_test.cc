@@ -1,14 +1,16 @@
 // Vectored I/O equivalence: driving the FTL through WriteV/ReadV/TrimV in batches of N
 // must be bit-identical to issuing the same N ops one-by-one at the same shared issue
 // time — forward map, per-epoch validity, cumulative stats, device drain time, and
-// snapshot contents all match, across GC pressure, snapshot churn, and two reopens
-// through recovery.
+// snapshot contents all match, across GC pressure, snapshot churn, two reopens
+// through recovery, and program failures.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -201,7 +203,8 @@ class ScriptDriver {
     ftl_->PumpBackground(t);
     uint64_t group_end = t;
     if (vectored_) {
-      // Maximal same-kind runs, like FtlTarget::DoOpV, but with real payloads.
+      // Maximal same-kind runs, as the workload Runner submits a group, but with real
+      // payloads and trims.
       size_t i = 0;
       while (i < n) {
         size_t j = i;
@@ -396,6 +399,46 @@ TEST_P(BatchEquivalenceTest, VectoredMatchesSequentialBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, BatchEquivalenceTest,
                          ::testing::Values<size_t>(1, 7, 32, 257));
+
+// Under program failures a vectored write reroutes each page with the same budget as a
+// one-page write, so it fails, retires blocks and maps pages exactly as the same writes
+// issued one by one.
+TEST(BatchFaultEquivalenceTest, VectoredWriteMatchesOneByOneUnderProgramFaults) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    FtlConfig config = SmallConfig();
+    config.nand.fault.seed = seed;
+    config.nand.fault.program_fail_ppm = 150000;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> one_by_one, Ftl::Create(config));
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> vectored, Ftl::Create(config));
+
+    std::vector<std::vector<uint8_t>> payloads;
+    std::vector<WriteRequest> requests;
+    for (uint64_t lba = 0; lba < 32; ++lba) {
+      payloads.push_back(PageData(config.nand.page_size_bytes, lba, seed));
+    }
+    for (uint64_t lba = 0; lba < 32; ++lba) {
+      requests.push_back({lba, payloads[lba]});
+    }
+    Status scalar_status;
+    for (const WriteRequest& request : requests) {
+      scalar_status = one_by_one->Write(request.lba, request.data, 0).status();
+      if (!scalar_status.ok()) {
+        break;
+      }
+    }
+    const Status vector_status = vectored->WriteV(requests, 0).status();
+
+    EXPECT_EQ(scalar_status.code(), vector_status.code()) << vector_status.ToString();
+    EXPECT_EQ(0, std::memcmp(&one_by_one->device().stats(), &vectored->device().stats(),
+                             sizeof(NandStats)));
+    EXPECT_EQ(one_by_one->log_manager().stats().append_reroutes,
+              vectored->log_manager().stats().append_reroutes);
+    EXPECT_EQ(one_by_one->ViewMapEntries(kPrimaryView).value(),
+              vectored->ViewMapEntries(kPrimaryView).value());
+    EXPECT_EQ(one_by_one->device().DrainTimeNs(), vectored->device().DrainTimeNs());
+  }
+}
 
 }  // namespace
 }  // namespace iosnap

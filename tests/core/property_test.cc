@@ -149,8 +149,8 @@ TEST_P(SnapshotPropertyTest, RandomOpsMatchReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, SnapshotPropertyTest, ::testing::ValuesIn(Params()),
-                         [](const ::testing::TestParamInfo<PropertyParam>& info) {
-                           return info.param.name;
+                         [](const ::testing::TestParamInfo<PropertyParam>& property) {
+                           return property.param.name;
                          });
 
 TEST(CrashPropertyTest, CrashAtEveryPhaseOfSnapshotLifecycle) {

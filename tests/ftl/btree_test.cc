@@ -220,8 +220,17 @@ TEST(BPlusTreeTest, InsertBatchMatchesScalarInserts) {
   for (int round = 0; round < 200; ++round) {
     const size_t batch = 1 + rng.Next() % 64;
     std::vector<std::pair<uint64_t, uint64_t>> entries;
+    // Random keys, ascending runs and descending runs, so the memoized descent both
+    // continues and restarts.
+    const uint64_t start = rng.Next() % 4096;
     for (size_t i = 0; i < batch; ++i) {
-      entries.emplace_back(rng.Next() % 4096, rng.Next());
+      uint64_t key = rng.Next() % 4096;
+      if (round % 3 == 1) {
+        key = (start + i) % 4096;
+      } else if (round % 3 == 2) {
+        key = (start + 4096 - i) % 4096;
+      }
+      entries.emplace_back(key, rng.Next());
     }
     std::vector<std::optional<uint64_t>> old_values;
     const size_t fresh = batched.InsertBatch(entries, &old_values);
@@ -242,6 +251,10 @@ TEST(BPlusTreeTest, InsertBatchMatchesScalarInserts) {
     ASSERT_EQ(fresh, scalar_fresh);
     ASSERT_EQ(batched.size(), ref.size());
     ASSERT_TRUE(batched.CheckInvariants());
+    // Same node layout as the scalar inserts, not just the same contents.
+    ASSERT_EQ(batched.LeafNodeCount(), scalar.LeafNodeCount()) << "round " << round;
+    ASSERT_EQ(batched.InternalNodeCount(), scalar.InternalNodeCount()) << "round " << round;
+    ASSERT_EQ(batched.MemoryBytes(), scalar.MemoryBytes()) << "round " << round;
   }
   EXPECT_EQ(batched.ToSortedVector(), scalar.ToSortedVector());
   for (const auto& [key, value] : ref) {

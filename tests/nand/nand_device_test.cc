@@ -353,45 +353,6 @@ TEST(NandDeviceTest, CopybackCrossChannelFallsBackToReadProgram) {
   EXPECT_EQ(dev.stats().copyback_fallbacks, 1u);
 }
 
-TEST(NandDeviceTest, CopybackBatchMatchesSequentialCopybacks) {
-  NandDevice batched(TestNand());
-  NandDevice scalar(TestNand());
-  std::vector<uint64_t> srcs;
-  for (uint64_t i = 0; i < 6; ++i) {
-    PageHeader header;
-    header.type = RecordType::kData;
-    header.lba = i;
-    header.seq = i;
-    const std::vector<uint8_t> data = PageData(512, i, 7);
-    uint64_t paddr = 0;
-    ASSERT_OK(batched.ProgramPage(0, header, data, 0, &paddr).status());
-    ASSERT_OK(scalar.ProgramPage(0, header, data, 0, &paddr).status());
-    srcs.push_back(paddr);
-  }
-
-  constexpr uint64_t kIssue = 1000000;
-  std::vector<uint64_t> dsts;
-  std::vector<NandOp> ops;
-  ASSERT_OK(batched.CopybackBatch(srcs, 2, kIssue, &dsts, &ops));
-  ASSERT_EQ(dsts.size(), 6u);
-  ASSERT_EQ(ops.size(), 6u);
-  for (uint64_t i = 0; i < 6; ++i) {
-    uint64_t dst = 0;
-    ASSERT_OK_AND_ASSIGN(NandOp op, scalar.CopybackPage(srcs[i], 2, kIssue, &dst));
-    EXPECT_EQ(dsts[i], dst) << i;
-    EXPECT_EQ(ops[i].issue_ns, op.issue_ns) << i;
-    EXPECT_EQ(ops[i].finish_ns, op.finish_ns) << i;
-    EXPECT_EQ(ops[i].bus_ns, op.bus_ns) << i;
-  }
-  EXPECT_EQ(batched.DrainTimeNs(), scalar.DrainTimeNs());
-  EXPECT_EQ(0, std::memcmp(&batched.stats(), &scalar.stats(), sizeof(NandStats)));
-
-  // Overflow is rejected up front: nothing is copied.
-  std::vector<uint64_t> too_many(9, srcs[0]);
-  EXPECT_FALSE(batched.CopybackBatch(too_many, 3, kIssue, &dsts, &ops).ok());
-  EXPECT_EQ(batched.NextFreePage(3), 0u);
-}
-
 TEST(NandDeviceTest, MultipleBusesLiftTransferSerialization) {
   // Two pages on distinct channels issued at the same instant: with one shared bus the
   // transfers serialize; with buses == channels each channel owns a bus and neither

@@ -11,8 +11,6 @@
 #include "src/common/sim_clock.h"
 #include "src/core/ftl.h"
 #include "src/obs/trace_export.h"
-#include "src/workload/runner.h"
-#include "src/workload/workload.h"
 
 namespace iosnap {
 namespace {

@@ -1,5 +1,12 @@
 #include "src/workload/runner.h"
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/workload/workload.h"
@@ -13,8 +20,7 @@ TEST(RunnerTest, RunsRequestedOps) {
   config.nand.store_data = false;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
   SimClock clock;
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   RandomWorkload workload(IoKind::kWrite, 100, 1);
   ASSERT_OK_AND_ASSIGN(RunResult result, runner.Run(&workload, 500, RunOptions{}));
@@ -31,8 +37,7 @@ TEST(RunnerTest, WorkloadExhaustionStopsEarly) {
   config.nand.store_data = false;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
   SimClock clock;
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   SequentialWorkload workload(IoKind::kWrite, 0, 10);
   ASSERT_OK_AND_ASSIGN(RunResult result, runner.Run(&workload, 500, RunOptions{}));
@@ -44,8 +49,7 @@ TEST(RunnerTest, TimelineRecordsWhenEnabled) {
   config.nand.store_data = false;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
   SimClock clock;
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   RandomWorkload workload(IoKind::kWrite, 100, 2);
   RunOptions options;
@@ -55,15 +59,14 @@ TEST(RunnerTest, TimelineRecordsWhenEnabled) {
 }
 
 TEST(RunnerTest, QueueDepthImprovesReadThroughput) {
-  auto throughput = [](uint64_t queue_depth) {
+  auto throughput = [](uint64_t batch) {
     FtlConfig config = SmallConfig();
     config.nand.store_data = false;
     auto ftl_or = Ftl::Create(config);
     IOSNAP_CHECK(ftl_or.ok());
     std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
     SimClock clock;
-    FtlTarget target(ftl.get());
-    Runner runner(&target, &clock, config.nand.page_size_bytes);
+    Runner runner(ftl.get(), &clock);
 
     // Preload, then random reads.
     SequentialWorkload fill(IoKind::kWrite, 0, 512);
@@ -71,7 +74,7 @@ TEST(RunnerTest, QueueDepthImprovesReadThroughput) {
     const uint64_t start = clock.NowNs();
     RandomWorkload reads(IoKind::kRead, 512, 3);
     RunOptions options;
-    options.queue_depth = queue_depth;
+    options.batch = batch;
     auto result = runner.Run(&reads, 400, options);
     IOSNAP_CHECK(result.ok());
     return static_cast<double>(result->bytes) /
@@ -80,41 +83,90 @@ TEST(RunnerTest, QueueDepthImprovesReadThroughput) {
   EXPECT_GT(throughput(8), throughput(1) * 1.5);
 }
 
-TEST(RunnerTest, BatchModeMatchesQueueDepthRun) {
-  // batch=N submits through DoOpV; with the same workload stream and grouping it must
-  // land the FTL in the same state as the scalar queue_depth=N loop.
-  auto run = [](bool batched) {
+// The group loop and a one-queue, depth-1 IoQueueLayer are the two submission models;
+// with the same grouping they must land the FTL in the same state, GC included.
+TEST(RunnerTest, GroupLoopMatchesSingleQueueRun) {
+  struct Outcome {
+    RunResult run;
+    FtlStats stats;
+    NandStats nand;
+    std::vector<std::pair<uint64_t, uint64_t>> map;
+  };
+  auto run = [](uint64_t batch, uint32_t queues) {
     FtlConfig config = SmallConfig();
     config.nand.store_data = false;
     auto ftl_or = Ftl::Create(config);
     IOSNAP_CHECK(ftl_or.ok());
     std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
     SimClock clock;
-    FtlTarget target(ftl.get());
-    Runner runner(&target, &clock, config.nand.page_size_bytes);
+    Runner runner(ftl.get(), &clock);
 
-    MixedWorkload workload(/*read_fraction=*/0.5, 200, 7);
+    MixedWorkload workload(/*read_fraction=*/0.3, ftl->LbaCount(), 7);
     RunOptions options;
-    if (batched) {
-      options.batch = 8;
-    } else {
-      options.queue_depth = 8;
-    }
-    auto result = runner.Run(&workload, 400, options);
+    options.batch = batch;
+    options.queues = queues;
+    options.record_timeline = true;
+    auto result = runner.Run(&workload, 6000, options);
     IOSNAP_CHECK(result.ok());
-    struct Outcome {
-      uint64_t ops, bytes, end_ns, writes, reads;
-    };
-    return Outcome{result->ops, result->bytes, result->end_ns,
-                   ftl->stats().user_writes, ftl->stats().user_reads};
+    auto map = ftl->ViewMapEntries(kPrimaryView);
+    IOSNAP_CHECK(map.ok());
+    return Outcome{std::move(result).value(), ftl->stats(), ftl->device().stats(),
+                   std::move(map).value()};
   };
-  const auto scalar = run(false);
-  const auto vectored = run(true);
-  EXPECT_EQ(vectored.ops, scalar.ops);
-  EXPECT_EQ(vectored.bytes, scalar.bytes);
-  EXPECT_EQ(vectored.end_ns, scalar.end_ns);
-  EXPECT_EQ(vectored.writes, scalar.writes);
-  EXPECT_EQ(vectored.reads, scalar.reads);
+  // Completions arrive in time order from the queue but in submission order from the
+  // group loop, so timelines compare as sorted multisets.
+  auto sorted_samples = [](const Timeline& timeline) {
+    std::vector<std::pair<uint64_t, double>> samples;
+    for (const Timeline::Sample& s : timeline.samples()) {
+      samples.emplace_back(s.t_ns, s.value);
+    }
+    std::sort(samples.begin(), samples.end());
+    return samples;
+  };
+  for (uint64_t batch : {1u, 8u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const Outcome group = run(batch, /*queues=*/0);
+    const Outcome queued = run(batch, /*queues=*/1);
+    ASSERT_GT(group.stats.gc_segments_cleaned, 0u);
+    EXPECT_EQ(group.run.ops, queued.run.ops);
+    EXPECT_EQ(group.run.bytes, queued.run.bytes);
+    EXPECT_EQ(group.run.end_ns, queued.run.end_ns);
+    EXPECT_EQ(group.run.drain_end_ns, queued.run.drain_end_ns);
+    EXPECT_EQ(0, std::memcmp(&group.stats, &queued.stats, sizeof(FtlStats)));
+    EXPECT_EQ(0, std::memcmp(&group.nand, &queued.nand, sizeof(NandStats)));
+    EXPECT_EQ(group.map, queued.map);
+    for (double p : {0.0, 50.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(group.run.latency.PercentileNs(p), queued.run.latency.PercentileNs(p)) << p;
+    }
+    EXPECT_EQ(group.run.latency.MaxNs(), queued.run.latency.MaxNs());
+    EXPECT_EQ(sorted_samples(group.run.timeline), sorted_samples(queued.run.timeline));
+  }
+}
+
+// after_op runs once the whole group has completed, so a hook inside a group sees every
+// op of that group applied.
+TEST(RunnerTest, AfterOpSeesWholeGroup) {
+  FtlConfig config = SmallConfig();
+  config.nand.store_data = false;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
+  SimClock clock;
+  Runner runner(ftl.get(), &clock);
+
+  std::optional<uint32_t> snap_id;
+  RunOptions options;
+  options.batch = 8;
+  options.after_op = [&](uint64_t index, uint64_t now_ns) {
+    if (index == 3) {
+      auto snap = ftl->CreateSnapshot("mid-group", now_ns);
+      IOSNAP_CHECK(snap.ok());
+      snap_id = snap->snap_id;
+    }
+  };
+  SequentialWorkload workload(IoKind::kWrite, 0, 16);
+  ASSERT_OK(runner.Run(&workload, 16, options).status());
+  ASSERT_TRUE(snap_id.has_value());
+  ASSERT_OK_AND_ASSIGN(Ftl::SnapshotSpace space, ftl->SnapshotSpaceReport(*snap_id));
+  EXPECT_EQ(space.referenced_pages, 8u);
 }
 
 TEST(RunnerTest, BatchModeMixedKindsAndExhaustion) {
@@ -122,8 +174,7 @@ TEST(RunnerTest, BatchModeMixedKindsAndExhaustion) {
   config.nand.store_data = false;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
   SimClock clock;
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   // 30 ops against a 30-op budget of 64-sized batches: exhaustion mid-batch.
   MixedWorkload workload(/*read_fraction=*/0.3, 64, 11);
@@ -140,8 +191,7 @@ TEST(RunnerTest, AfterOpCallbackFires) {
   config.nand.store_data = false;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Ftl> ftl, Ftl::Create(config));
   SimClock clock;
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
 
   uint64_t calls = 0;
   uint64_t last_index = 0;

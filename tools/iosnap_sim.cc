@@ -64,8 +64,9 @@ Workload:
   --lba_frac=F           fraction of the LBA space used       (default 0.75)
   --read_frac=F          read fraction for mixed              (default 0.5)
   --zipf_theta=F         skew for zipf                        (default 0.9)
-  --qd=N                 queue depth                          (default 1)
-  --batch=N              ops per vectored submission; 1 = scalar path (default 1)
+  --batch=N              ops issued together at one virtual time (the
+                         queue depth); with --queues, ops per
+                         submission                           (default 1)
   --queues=N             multi-queue mode: N submission queues (default 0 = off)
   --iodepth=N            in-flight submissions per queue      (default 1)
   --seed=N               workload RNG seed                    (default 42)
@@ -131,7 +132,7 @@ const std::vector<std::string> kKnownFlags = {
     "device_mib", "page_kib", "segment_pages", "channels", "buses", "copyback",
     "copyback_scrub", "overprovision",
     "chunk_bits", "policy", "vanilla", "vanilla_gc_rate", "workload", "ops",
-    "lba_frac", "read_frac", "zipf_theta", "qd", "batch", "queues", "iodepth", "seed",
+    "lba_frac", "read_frac", "zipf_theta", "batch", "queues", "iodepth", "seed",
     "snapshot_every",
     "snapshots",
     "keep_snapshots", "activate_last", "crash_and_recover", "timeline",
@@ -416,11 +417,10 @@ int main(int argc, char** argv) {
 
   if (workload_name == "randread" || workload_name == "mixed") {
     std::printf("prefilling %llu blocks for reads...\n", (unsigned long long)lba_space);
-    FtlTarget target(ftl.get());
-    Runner prefill(&target, &clock, config.nand.page_size_bytes);
+    Runner prefill(ftl.get(), &clock);
     SequentialWorkload fill(IoKind::kWrite, 0, lba_space);
     RunOptions fill_options;
-    fill_options.queue_depth = 16;
+    fill_options.batch = 16;
     auto filled = prefill.Run(&fill, lba_space, fill_options);
     IOSNAP_CHECK(filled.ok());
     clock.AdvanceTo(filled->drain_end_ns);
@@ -466,7 +466,6 @@ int main(int argc, char** argv) {
   const size_t keep = (size_t)flags.GetInt("keep_snapshots", 4);
   std::vector<uint32_t> live_snaps;
   RunOptions options;
-  options.queue_depth = (uint64_t)flags.GetInt("qd", 1);
   options.batch = (uint64_t)flags.GetInt("batch", 1);
   options.queues = (uint32_t)flags.GetInt("queues", 0);
   options.iodepth = (uint32_t)flags.GetInt("iodepth", 1);
@@ -498,8 +497,7 @@ int main(int argc, char** argv) {
     };
   }
 
-  FtlTarget target(ftl.get());
-  Runner runner(&target, &clock, config.nand.page_size_bytes);
+  Runner runner(ftl.get(), &clock);
   auto result = runner.Run(workload.get(), ops, options);
   if (!result.ok()) {
     if (!faults_armed) {

@@ -3,12 +3,15 @@
 
 Each case drives iosnap_sim, iosnap_fsck and iosnap_analyze in a scratch directory
 named after the case (under the current directory) and exits 1 with a message when an
-expectation fails. The fault cases run at the sizes of CI's fault-campaign steps and
-keep every one of their assertions.
+expectation fails. The observability and fault cases run at the sizes of CI's steps
+and keep every one of their assertions.
 
   tool_smokes.py CASE --sim PATH --fsck PATH --analyze PATH
 
 Cases:
+  observability    CI's observability-flags smoke: a seqwrite run with a snapshot
+                   cadence writes a trace and metrics JSON that both parse, and the
+                   metrics count every write and every cadence snapshot
   fault_sim        live program/read fault rates with snapshots, then a release and
                    reopen through full recovery: the metrics JSON parses
   copyback_faults  the same with copyback GC on two buses (scrub on): the run survives
@@ -47,6 +50,18 @@ def run(args, want_rc):
     if want_rc is not None and proc.returncode != want_rc:
         fail("%s exited %d, want %d" % (os.path.basename(args[0]), proc.returncode, want_rc))
     return proc.returncode, output
+
+
+def observability(tools):
+    run([tools.sim, "--workload=seqwrite", "--ops=20000", "--snapshot_every=5000",
+         "--trace_out=trace.json", "--metrics_out=metrics.json"], 0)
+    with open("trace.json") as f:
+        json.load(f)
+    with open("metrics.json") as f:
+        m = json.load(f)
+    for name, want in [("ftl.snapshots_created", 4), ("ftl.user_writes", 20000)]:
+        if m[name] != want:
+            fail("%s = %s, want %s" % (name, m[name], want))
 
 
 def fault_sim(tools):
@@ -148,8 +163,9 @@ def analyze_garbage(tools):
             fail("analyzer error does not name %s '%s'" % (column, text))
 
 
-CASES = {f.__name__: f for f in (fault_sim, copyback_faults, fsck_repair,
-                                 hostile_image, parity_rebuild, analyze_garbage)}
+CASES = {f.__name__: f for f in (observability, fault_sim, copyback_faults,
+                                 fsck_repair, hostile_image, parity_rebuild,
+                                 analyze_garbage)}
 
 
 def main():
