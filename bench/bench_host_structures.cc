@@ -1,7 +1,7 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side data structures on the
-// FTL's critical path: the B+tree forward map, the bitmap primitives, and the per-epoch
-// CoW validity map. These are the only benchmarks in the suite that measure real CPU
-// time — everything device-related runs on the virtual clock.
+// FTL's critical path: the B+tree forward map, the page CRC, the bitmap primitives, and
+// the per-epoch CoW validity map. These are the only benchmarks in the suite that
+// measure real CPU time — everything device-related runs on the virtual clock.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include "src/common/rng.h"
 #include "src/ftl/btree.h"
 #include "src/ftl/validity_map.h"
+#include "src/nand/page_header.h"
 
 namespace iosnap {
 namespace {
@@ -85,6 +86,36 @@ void BM_BPlusTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeLookup)->Arg(1 << 16)->Arg(1 << 20);
 
+// The e2e benchmark's read_mostly map: its 589,824-LBA working set written once in
+// ascending 32-LBA batches, as its prefill does. Leaves split half full, so the tree is
+// about 20 MB and a random lookup misses cache on most levels.
+void BM_BPlusTreeLookupSequentialPrefill(benchmark::State& state) {
+  constexpr uint64_t kKeys = 589824;
+  static const BPlusTree tree = [] {
+    BPlusTree t;
+    std::vector<std::pair<uint64_t, uint64_t>> batch;
+    for (uint64_t lba = 0; lba < kKeys; lba += 32) {
+      batch.clear();
+      for (uint64_t k = lba; k < lba + 32; ++k) {
+        batch.emplace_back(k, k);
+      }
+      t.InsertBatch(batch);
+    }
+    return t;
+  }();
+  Rng rng(7);
+  std::vector<uint64_t> keys(1 << 16);
+  for (uint64_t& key : keys) {
+    key = rng.NextBelow(kKeys);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.Lookup(keys[i++ % keys.size()]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BPlusTreeLookupSequentialPrefill);
+
 void BM_BPlusTreeBulkLoad(benchmark::State& state) {
   const auto n = static_cast<uint64_t>(state.range(0));
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
@@ -99,6 +130,23 @@ void BM_BPlusTreeBulkLoad(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_BPlusTreeBulkLoad)->Arg(1 << 16);
+
+// The CRC every program, read and header scan computes: the 33 header bytes plus the
+// stored payload (none for notes, a few bytes for summaries, a page for user data).
+void BM_PageCrc(benchmark::State& state) {
+  const std::vector<uint8_t> payload(static_cast<size_t>(state.range(0)), 0x5a);
+  PageHeader header;
+  header.type = RecordType::kData;
+  header.lba = 42;
+  header.seq = 7;
+  header.payload_len = static_cast<uint32_t>(payload.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputePageCrc(header, payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageHeaderCrcFieldBytes + payload.size()));
+}
+BENCHMARK(BM_PageCrc)->Arg(0)->Arg(16)->Arg(4096);
 
 void BM_BitmapCountRange(benchmark::State& state) {
   Bitmap bitmap(1 << 20);

@@ -1,6 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to checksum page
 // headers + payloads on the simulated NAND device so silent corruption is
-// detectable instead of silently served back to the host.
+// detectable instead of silently served back to the host. Computed slice-by-8
+// (eight bytes per table step); the values are those of the classic byte-at-a-time
+// table loop, independent of host byte order.
 
 #ifndef SRC_COMMON_CRC32_H_
 #define SRC_COMMON_CRC32_H_

@@ -202,11 +202,15 @@ StatusOr<RecoveredState> RecoverFromDevice(NandDevice* device, uint64_t issue_ns
       if (intact) {
         auto tree_or = SnapshotTree::Deserialize(bytes, &offset);
         uint32_t summary_active = kRootEpoch;
-        if (tree_or.ok() && GetU32(bytes, &offset, &summary_active).ok()) {
+        if (tree_or.ok() && GetU32(bytes, &offset, &summary_active).ok() &&
+            tree_or->EpochExists(summary_active)) {
           out.tree = std::move(tree_or).value();
           out.active_epoch = summary_active;
         } else {
-          IOSNAP_LOG(kWarning) << "[recovery] unreadable tree summary ignored";
+          // Also a well-formed tree that does not list the summary's active epoch.
+          IOSNAP_LOG(kWarning) << "[recovery] unreadable tree summary ignored: "
+                               << (tree_or.ok() ? "no listed active epoch"
+                                                : tree_or.status().ToString());
           summary_seq = 0;
         }
       } else {

@@ -1,6 +1,7 @@
 #include "src/core/snapshot_tree.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
@@ -172,12 +173,44 @@ StatusOr<SnapshotTree> SnapshotTree::Deserialize(const std::vector<uint8_t>& byt
     uint32_t parent = 0;
     RETURN_IF_ERROR(GetU32(bytes, offset, &epoch));
     RETURN_IF_ERROR(GetU32(bytes, offset, &parent));
-    tree.parents_.emplace(epoch, parent);
-  }
-  if (!tree.parents_.contains(kRootEpoch)) {
-    return DataLoss("snapshot tree: missing root epoch");
+    if (!tree.parents_.emplace(epoch, parent).second) {
+      return DataLoss("snapshot tree: epoch " + std::to_string(epoch) + " listed twice");
+    }
   }
   RETURN_IF_ERROR(GetU32(bytes, offset, &tree.next_epoch_));
+  if (tree.next_epoch_ <= tree.parents_.rbegin()->first) {
+    return DataLoss("snapshot tree: next epoch id does not exceed every listed epoch");
+  }
+  // The parent map must be one tree under the root: the root has no parent, every other
+  // epoch names a listed parent, and every parent chain ends at the root. A walk stops at
+  // the first epoch already known to reach the root, so each epoch is walked once; a walk
+  // longer than the epoch count has gone round a cycle.
+  const auto root = tree.parents_.find(kRootEpoch);
+  if (root == tree.parents_.end()) {
+    return DataLoss("snapshot tree: missing root epoch");
+  }
+  if (root->second != kNoEpoch) {
+    return DataLoss("snapshot tree: root epoch names parent " + std::to_string(root->second));
+  }
+  for (const auto& [epoch, parent] : tree.parents_) {
+    if (epoch != kRootEpoch && !tree.parents_.contains(parent)) {
+      return DataLoss("snapshot tree: epoch " + std::to_string(epoch) +
+                      " names unknown parent " + std::to_string(parent));
+    }
+  }
+  std::set<uint32_t> rooted = {kRootEpoch};
+  std::vector<uint32_t> chain;
+  for (const auto& [epoch, parent] : tree.parents_) {
+    chain.clear();
+    for (uint32_t e = epoch; !rooted.contains(e); e = tree.parents_.at(e)) {
+      if (chain.size() == tree.parents_.size()) {
+        return DataLoss("snapshot tree: epoch " + std::to_string(epoch) +
+                        " has a cyclic lineage");
+      }
+      chain.push_back(e);
+    }
+    rooted.insert(chain.begin(), chain.end());
+  }
 
   uint32_t snap_count = 0;
   RETURN_IF_ERROR(GetU32(bytes, offset, &snap_count));
@@ -193,10 +226,21 @@ StatusOr<SnapshotTree> SnapshotTree::Deserialize(const std::vector<uint8_t>& byt
     if (!tree.parents_.contains(info.epoch)) {
       return DataLoss("snapshot tree: snapshot references unknown epoch");
     }
-    tree.snapshots_.emplace(info.snap_id, info);
+    if (tree.snapshots_.contains(info.snap_id)) {
+      return DataLoss("snapshot tree: snapshot " + std::to_string(info.snap_id) +
+                      " listed twice");
+    }
+    if (tree.snapshot_by_epoch_.contains(info.epoch)) {
+      return DataLoss("snapshot tree: epoch " + std::to_string(info.epoch) +
+                      " frozen by two snapshots");
+    }
     tree.snapshot_by_epoch_[info.epoch] = info.snap_id;
+    tree.snapshots_.emplace(info.snap_id, std::move(info));
   }
   RETURN_IF_ERROR(GetU32(bytes, offset, &tree.next_snap_id_));
+  if (!tree.snapshots_.empty() && tree.next_snap_id_ <= tree.snapshots_.rbegin()->first) {
+    return DataLoss("snapshot tree: next snapshot id does not exceed every listed id");
+  }
   return tree;
 }
 

@@ -6,6 +6,30 @@
 #include "src/common/logging.h"
 
 namespace iosnap {
+namespace {
+
+// In-node search. A node's keys strictly increase, so the number of keys <= key is
+// std::upper_bound's index (the child that covers key) and the number of keys < key is
+// std::lower_bound's (key's slot in a leaf). Counting has no data-dependent branch: all
+// of a cold node's key loads are in flight at once, where a binary search waits for each
+// probe's cache miss before it can pick the next one.
+int CountLessEqual(const uint64_t* keys, int count, uint64_t key) {
+  int n = 0;
+  for (int i = 0; i < count; ++i) {
+    n += keys[i] <= key ? 1 : 0;
+  }
+  return n;
+}
+
+int CountLess(const uint64_t* keys, int count, uint64_t key) {
+  int n = 0;
+  for (int i = 0; i < count; ++i) {
+    n += keys[i] < key ? 1 : 0;
+  }
+  return n;
+}
+
+}  // namespace
 
 BPlusTree::BPlusTree() { root_ = NewLeaf(); }
 
@@ -49,20 +73,16 @@ BPlusTree::LeafNode* BPlusTree::FindLeaf(uint64_t key) const {
   Node* node = root_;
   while (!node->is_leaf) {
     const auto* internal = static_cast<const InternalNode*>(node);
-    const uint64_t* end = internal->keys + internal->count;
-    // First separator strictly greater than key selects the child.
-    const uint64_t* it = std::upper_bound(internal->keys + 0, end, key);
-    node = internal->children[it - internal->keys];
+    node = internal->children[CountLessEqual(internal->keys, internal->count, key)];
   }
   return static_cast<LeafNode*>(node);
 }
 
 std::optional<uint64_t> BPlusTree::Lookup(uint64_t key) const {
   const LeafNode* leaf = FindLeaf(key);
-  const uint64_t* end = leaf->keys + leaf->count;
-  const uint64_t* it = std::lower_bound(leaf->keys, end, key);
-  if (it != end && *it == key) {
-    return leaf->values[it - leaf->keys];
+  const int pos = CountLess(leaf->keys, leaf->count, key);
+  if (pos < leaf->count && leaf->keys[pos] == key) {
+    return leaf->values[pos];
   }
   return std::nullopt;
 }
@@ -72,10 +92,8 @@ bool BPlusTree::InsertRec(Node* node, uint64_t key, uint64_t value, uint64_t* sp
   *new_node = nullptr;
   if (node->is_leaf) {
     auto* leaf = static_cast<LeafNode*>(node);
-    uint64_t* end = leaf->keys + leaf->count;
-    uint64_t* it = std::lower_bound(leaf->keys, end, key);
-    const int pos = static_cast<int>(it - leaf->keys);
-    if (it != end && *it == key) {
+    const int pos = CountLess(leaf->keys, leaf->count, key);
+    if (pos < leaf->count && leaf->keys[pos] == key) {
       leaf->values[pos] = value;  // In-place overwrite: the common FTL remap.
       return false;
     }
@@ -107,9 +125,7 @@ bool BPlusTree::InsertRec(Node* node, uint64_t key, uint64_t value, uint64_t* sp
   }
 
   auto* internal = static_cast<InternalNode*>(node);
-  uint64_t* end = internal->keys + internal->count;
-  uint64_t* it = std::upper_bound(internal->keys, end, key);
-  const int child_index = static_cast<int>(it - internal->keys);
+  const int child_index = CountLessEqual(internal->keys, internal->count, key);
 
   uint64_t child_split_key = 0;
   Node* child_new = nullptr;
@@ -174,11 +190,10 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     const uint64_t value = entries[0].second;
     if (old_values != nullptr) {
       LeafNode* leaf = FindLeaf(key);
-      uint64_t* lend = leaf->keys + leaf->count;
-      uint64_t* lit = std::lower_bound(leaf->keys, lend, key);
-      if (lit != lend && *lit == key) {
-        (*old_values)[0] = leaf->values[lit - leaf->keys];
-        leaf->values[lit - leaf->keys] = value;
+      const int pos = CountLess(leaf->keys, leaf->count, key);
+      if (pos < leaf->count && leaf->keys[pos] == key) {
+        (*old_values)[0] = leaf->values[pos];
+        leaf->values[pos] = value;
         return 0;
       }
     }
@@ -210,13 +225,12 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     Node* node = depth == 0 ? root_ : path[depth - 1].child;
     while (!node->is_leaf) {
       auto* internal = static_cast<InternalNode*>(node);
-      const uint64_t* begin = internal->keys;
-      const uint64_t* it = std::upper_bound(begin, begin + internal->count, key);
+      const int ci = CountLessEqual(internal->keys, internal->count, key);
       PathEntry& e = path[depth];
       e.node = internal;
-      e.child = internal->children[it - begin];
-      if (it != begin + internal->count) {
-        e.eff_hi = *it;
+      e.child = internal->children[ci];
+      if (ci < internal->count) {
+        e.eff_hi = internal->keys[ci];
         e.has_hi = true;
       } else if (depth > 0) {
         e.eff_hi = path[depth - 1].eff_hi;
@@ -240,10 +254,8 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
       depth = 0;
     }
     LeafNode* leaf = find_leaf(key);
-    uint64_t* lend = leaf->keys + leaf->count;
-    uint64_t* lit = std::lower_bound(leaf->keys, lend, key);
-    const int pos = static_cast<int>(lit - leaf->keys);
-    if (lit != lend && *lit == key) {
+    const int pos = CountLess(leaf->keys, leaf->count, key);
+    if (pos < leaf->count && leaf->keys[pos] == key) {
       if (old_values != nullptr) {
         (*old_values)[i] = leaf->values[pos];
       }
@@ -254,7 +266,7 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
     if (leaf->count >= kCapacity) {
       // Full leaf: insert the overflow entry, split, and push the separator up the
       // memoized path — the same midpoint math as InsertRec, without re-descending.
-      // (The separator lands at upper_bound(split_key), which is the split child's slot
+      // (The separator lands after the keys <= split_key, which is the split child's slot
       // because the child's keys all sit between its bracketing separators.)
       const size_t tail0 = static_cast<size_t>(leaf->count - pos);
       std::memmove(leaf->keys + pos + 1, leaf->keys + pos, tail0 * sizeof(uint64_t));
@@ -276,9 +288,7 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
       Node* new_node = right;
       for (int lvl = depth - 1; lvl >= 0 && new_node != nullptr; --lvl) {
         InternalNode* internal = path[lvl].node;
-        uint64_t* kend = internal->keys + internal->count;
-        uint64_t* kit = std::upper_bound(internal->keys, kend, split_key);
-        const int ci = static_cast<int>(kit - internal->keys);
+        const int ci = CountLessEqual(internal->keys, internal->count, split_key);
         for (int j = internal->count; j > ci; --j) {
           internal->keys[j] = internal->keys[j - 1];
           internal->children[j + 1] = internal->children[j];
@@ -352,10 +362,8 @@ size_t BPlusTree::InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> ent
 
 bool BPlusTree::Erase(uint64_t key) {
   LeafNode* leaf = FindLeaf(key);
-  uint64_t* end = leaf->keys + leaf->count;
-  uint64_t* it = std::lower_bound(leaf->keys, end, key);
-  const int pos = static_cast<int>(it - leaf->keys);
-  if (it == end || *it != key) {
+  const int pos = CountLess(leaf->keys, leaf->count, key);
+  if (pos == leaf->count || leaf->keys[pos] != key) {
     return false;
   }
   for (int i = pos; i < leaf->count - 1; ++i) {

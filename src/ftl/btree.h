@@ -17,6 +17,12 @@
 // is a bump (or freelist pop) instead of a malloc, Clear() recycles every slab, and the
 // whole map releases in O(slabs) at destruction. Node counts (and thus MemoryBytes(),
 // Table 3) are unchanged by the allocator.
+//
+// Searches inside a node count keys rather than binary-search them: the number of keys
+// <= key selects the child, the number of keys < key is a leaf slot. On sorted keys these
+// are the binary search's indices, so the layout and node counts are what a binary
+// search would build; the count just has no data-dependent branch, which lets a cold
+// node's key loads overlap instead of serializing one cache miss per probe.
 
 #ifndef SRC_FTL_BTREE_H_
 #define SRC_FTL_BTREE_H_

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/crc32.h"
-
 namespace iosnap {
 namespace {
 
@@ -55,39 +53,6 @@ TEST(SerdeTest, EmptyString) {
   std::string s = "junk";
   ASSERT_TRUE(GetString(buf, &offset, &s).ok());
   EXPECT_EQ(s, "");
-}
-
-TEST(Crc32Test, KnownVector) {
-  // The standard IEEE CRC-32 check value.
-  const std::string s = "123456789";
-  EXPECT_EQ(Crc32({reinterpret_cast<const uint8_t*>(s.data()), s.size()}), 0xCBF43926u);
-}
-
-TEST(Crc32Test, EmptyInput) {
-  EXPECT_EQ(Crc32({}), 0u);
-}
-
-TEST(Crc32Test, IncrementalMatchesOneShot) {
-  std::vector<uint8_t> data(300);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 31 + 7);
-  }
-  const uint32_t whole = Crc32(data);
-  const uint32_t split =
-      Crc32Extend(Crc32(std::span<const uint8_t>(data).subspan(0, 100)),
-                  std::span<const uint8_t>(data).subspan(100));
-  EXPECT_EQ(whole, split);
-}
-
-TEST(Crc32Test, SingleBitFlipChangesValue) {
-  std::vector<uint8_t> data(64, 0x5a);
-  const uint32_t before = Crc32(data);
-  for (size_t byte = 0; byte < data.size(); byte += 13) {
-    data[byte] ^= 0x10;
-    EXPECT_NE(Crc32(data), before);
-    data[byte] ^= 0x10;
-  }
-  EXPECT_EQ(Crc32(data), before);
 }
 
 }  // namespace

@@ -291,5 +291,46 @@ TEST(RecoveryTest, HostileTrimSummaryIsSkipped) {
   EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 10));
 }
 
+// A tree summary is untrusted bytes too. One whose parent map is not a tree under the
+// root, or whose active epoch its tree does not list, is skipped with a warning like any
+// unreadable summary; recovery then replays the notes, so no data page is orphaned.
+TEST(RecoveryTest, HostileTreeSummaryIsSkipped) {
+  const std::pair<const char*, EncodedTree> cases[] = {
+      {"dangling parent", {{{0, kNoEpoch}, {5, 9}}, 10}},
+      {"cycle", {{{0, kNoEpoch}, {5, 6}, {6, 5}}, 7}},
+      {"unknown active epoch", {{{0, kNoEpoch}}, 1}},
+  };
+  for (const auto& [what, tree] : cases) {
+    SCOPED_TRACE(what);
+    const FtlConfig config = SmallConfig();
+    FtlHarness h(config);
+    ReferenceModel model;
+    for (uint64_t lba = 0; lba < 10; ++lba) {
+      ASSERT_OK(h.Write(lba, lba + 1));
+      model.Write(lba, lba + 1);
+    }
+    ASSERT_OK_AND_ASSIGN(auto map, h.ftl().ViewMapEntries(kPrimaryView));
+    const uint64_t newest = map.back().second;  // lba 9.
+    std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
+
+    std::vector<uint8_t> summary = tree.Bytes();
+    PutU32(&summary, 5);  // The summary's trailing active epoch.
+    PageHeader header;
+    header.type = RecordType::kTreeSummary;
+    header.seq = device->PeekHeader(newest).seq + 1;
+    header.snap_id = 0x77;   // Summary group id.
+    header.lba = 0;          // Page index within the group.
+    header.trim_count = 1;   // Pages in the group.
+    ASSERT_OK(ProgramAtTail(device.get(), newest, header, summary, h.now()));
+
+    ASSERT_OK_AND_ASSIGN(FsckReport report, FsckDevice(device.get()));
+    EXPECT_TRUE(report.recovery_ok);
+    EXPECT_TRUE(report.Clean()) << FormatFsckReport(report);
+    EXPECT_EQ(report.orphaned_pages, 0u);
+    ASSERT_OK(h.Reopen(std::move(device)));
+    EXPECT_TRUE(h.CheckView(kPrimaryView, model.current_state(), 10));
+  }
+}
+
 }  // namespace
 }  // namespace iosnap

@@ -113,6 +113,38 @@ TEST(SnapshotTreeTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(SnapshotTree::Deserialize(bytes, &offset).ok());
 }
 
+// Tree summaries are untrusted bytes: a parent map that is not one tree under the root,
+// or ids that NewEpoch/AddSnapshot would hand out again, is kDataLoss. (No test walks a
+// rejected tree's lineage: a cyclic one never ends.)
+TEST(SnapshotTreeTest, HostileParentMapsAreDataLoss) {
+  const EncodedTree valid{{{0, kNoEpoch}, {1, 0}, {2, 1}, {3, 0}}, 4, {{1, 0}, {2, 1}}, 3};
+  {
+    size_t offset = 0;
+    ASSERT_OK_AND_ASSIGN(SnapshotTree tree, SnapshotTree::Deserialize(valid.Bytes(), &offset));
+    EXPECT_EQ(tree.Lineage(2), (std::vector<uint32_t>{2, 1, 0}));
+  }
+  const std::vector<std::pair<const char*, EncodedTree>> hostile = {
+      {"root has a parent", {{{0, 3}, {3, 0}}, 4}},
+      {"root is its own parent", {{{0, 0}}, 1}},
+      {"dangling parent", {{{0, kNoEpoch}, {5, 9}}, 10}},
+      {"two-epoch cycle", {{{0, kNoEpoch}, {5, 6}, {6, 5}}, 7}},
+      {"self parent", {{{0, kNoEpoch}, {5, 5}}, 6}},
+      {"cycle beside a rooted chain", {{{0, kNoEpoch}, {1, 0}, {5, 7}, {6, 5}, {7, 6}}, 8}},
+      {"epoch listed twice", {{{0, kNoEpoch}, {1, 0}, {1, 0}}, 2}},
+      {"next epoch reuses an id", {{{0, kNoEpoch}, {1, 0}}, 1}},
+      {"epoch id kNoEpoch", {{{0, kNoEpoch}, {kNoEpoch, 0}}, 0}},
+      {"snapshot listed twice", {{{0, kNoEpoch}, {1, 0}}, 2, {{1, 0}, {1, 1}}, 2}},
+      {"epoch frozen twice", {{{0, kNoEpoch}, {1, 0}}, 2, {{1, 0}, {2, 0}}, 3}},
+      {"next snapshot reuses an id", {{{0, kNoEpoch}, {1, 0}}, 2, {{1, 0}, {4, 1}}, 4}},
+  };
+  for (const auto& [what, tree] : hostile) {
+    size_t offset = 0;
+    EXPECT_EQ(SnapshotTree::Deserialize(tree.Bytes(), &offset).status().code(),
+              StatusCode::kDataLoss)
+        << what;
+  }
+}
+
 TEST(SnapshotTreeTest, RestoreRebuildsDeterministically) {
   SnapshotTree tree;
   tree.RestoreEpoch(1, 0);

@@ -22,6 +22,28 @@ NandConfig TestNand() {
   return config;
 }
 
+// The CRC stamped on media is part of the image format: images written by earlier
+// builds must keep verifying, so these recorded values must never move.
+TEST(NandDeviceTest, PageCrcValuesArePinned) {
+  PageHeader header;
+  header.type = RecordType::kData;
+  header.lba = 0x0123456789abcdefULL;
+  header.epoch = 7;
+  header.seq = 0x1122334455667788ULL;
+  header.snap_id = 3;
+  header.trim_count = 5;
+  for (const auto& [len, crc] : {std::pair<size_t, uint32_t>{0, 0xB85B97B7u},
+                                 {16, 0xB22BD819u},
+                                 {4096, 0xEC664212u}}) {
+    std::vector<uint8_t> payload(len);
+    for (size_t i = 0; i < len; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 31 + 7);
+    }
+    header.payload_len = static_cast<uint32_t>(len);
+    EXPECT_EQ(ComputePageCrc(header, payload), crc) << "payload " << len;
+  }
+}
+
 TEST(NandDeviceTest, FactoryFreshSegmentsAreProgrammable) {
   NandDevice dev(TestNand());
   PageHeader header;

@@ -1,6 +1,6 @@
 // Shared helpers for the ioSnap test suite: small device configurations, a result
-// digest, deterministic page payloads, a brute-force reference model of snapshot
-// semantics, and gtest glue for Status/StatusOr.
+// digest, deterministic page payloads, a field-by-field snapshot-tree encoder, a
+// brute-force reference model of snapshot semantics, and gtest glue for Status/StatusOr.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
+#include "src/common/serde.h"
 #include "src/common/status.h"
 #include "src/core/ftl.h"
 #include "src/core/ftl_config.h"
@@ -122,6 +123,35 @@ inline std::vector<uint8_t> PageData(uint64_t page_bytes, uint64_t lba, uint64_t
   }
   return data;
 }
+
+// A serialized SnapshotTree (the SerializeTo layout) built field by field, so a test can
+// encode parent maps and ids that no SnapshotTree would produce.
+struct EncodedTree {
+  std::vector<std::pair<uint32_t, uint32_t>> parents;  // (epoch, parent).
+  uint32_t next_epoch = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> snapshots = {};  // (snap id, epoch).
+  uint32_t next_snap_id = 1;
+
+  std::vector<uint8_t> Bytes() const {
+    std::vector<uint8_t> out;
+    PutU32(&out, static_cast<uint32_t>(parents.size()));
+    for (const auto& [epoch, parent] : parents) {
+      PutU32(&out, epoch);
+      PutU32(&out, parent);
+    }
+    PutU32(&out, next_epoch);
+    PutU32(&out, static_cast<uint32_t>(snapshots.size()));
+    for (const auto& [id, epoch] : snapshots) {
+      PutU32(&out, id);
+      PutU32(&out, epoch);
+      PutU64(&out, 1);  // create_seq.
+      PutU8(&out, 0);   // Not deleted.
+      PutString(&out, "s");
+    }
+    PutU32(&out, next_snap_id);
+    return out;
+  }
+};
 
 // Brute-force model of device + snapshot semantics: the oracle every integration test
 // compares the real FTL against. State is lba -> version (0 = never written / trimmed).
