@@ -1,14 +1,21 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host-side data structures on the
-// FTL's critical path: the B+tree forward map, the page CRC, the bitmap primitives, and
-// the per-epoch CoW validity map. These are the only benchmarks in the suite that
-// measure real CPU time — everything device-related runs on the virtual clock.
+// FTL's critical path: the B+tree forward map, the page CRC, the NAND model's read
+// path, the bitmap primitives, and the per-epoch CoW validity map. These are the only
+// benchmarks in the suite that measure real CPU time — everything device-related runs
+// on the virtual clock.
+
+#include <map>
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/bitmap.h"
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/ftl/btree.h"
 #include "src/ftl/validity_map.h"
+#include "src/nand/nand_device.h"
 #include "src/nand/page_header.h"
 
 namespace iosnap {
@@ -147,6 +154,53 @@ void BM_PageCrc(benchmark::State& state) {
                           static_cast<int64_t>(kPageHeaderCrcFieldBytes + payload.size()));
 }
 BENCHMARK(BM_PageCrc)->Arg(0)->Arg(16)->Arg(4096);
+
+// A fully programmed device of 4 KiB pages, built once per payload size: with no
+// payload, a header-only 4 GiB device (the e2e benchmark's read_mostly); with one, a
+// 1 GiB device storing that many bytes per page (its snapshot_churn).
+NandDevice& FullDevice(size_t payload_bytes) {
+  static std::map<size_t, std::unique_ptr<NandDevice>> devices;
+  std::unique_ptr<NandDevice>& device = devices[payload_bytes];
+  if (device == nullptr) {
+    NandConfig config;
+    config.num_segments = payload_bytes == 0 ? 1024 : 256;
+    config.store_data = payload_bytes > 0;
+    device = std::make_unique<NandDevice>(config);
+    const std::vector<uint8_t> payload(payload_bytes, 0x5a);
+    PageHeader header;
+    header.type = RecordType::kData;
+    header.payload_len = static_cast<uint32_t>(payload_bytes);
+    for (uint64_t s = 0; s < config.num_segments; ++s) {
+      for (uint64_t i = 0; i < config.pages_per_segment; ++i) {
+        header.lba = header.seq = s * config.pages_per_segment + i;
+        IOSNAP_CHECK(device->ProgramPage(s, header, payload, 0, nullptr).ok());
+      }
+    }
+  }
+  return *device;
+}
+
+// Random page reads, the device half of every user read: the header alone on the
+// header-only device (arg 0), header plus payload copy otherwise (arg 16).
+void BM_NandReadPage(benchmark::State& state) {
+  const auto payload_bytes = static_cast<size_t>(state.range(0));
+  NandDevice& device = FullDevice(payload_bytes);
+  Rng rng(8);
+  std::vector<uint64_t> paddrs(1 << 16);
+  for (uint64_t& paddr : paddrs) {
+    paddr = rng.NextBelow(device.config().TotalPages());
+  }
+  PageHeader header;
+  std::vector<uint8_t> data;
+  std::vector<uint8_t>* data_out = payload_bytes > 0 ? &data : nullptr;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        device.ReadPage(paddrs[i++ % paddrs.size()], 0, &header, data_out));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NandReadPage)->Arg(0)->Arg(16);
 
 void BM_BitmapCountRange(benchmark::State& state) {
   Bitmap bitmap(1 << 20);

@@ -8,21 +8,6 @@ namespace iosnap {
 Bitmap::Bitmap(size_t num_bits)
     : num_bits_(num_bits), words_((num_bits + kBitsPerWord - 1) / kBitsPerWord, 0) {}
 
-void Bitmap::Set(size_t index) {
-  assert(index < num_bits_);
-  words_[index / kBitsPerWord] |= (uint64_t{1} << (index % kBitsPerWord));
-}
-
-void Bitmap::Clear(size_t index) {
-  assert(index < num_bits_);
-  words_[index / kBitsPerWord] &= ~(uint64_t{1} << (index % kBitsPerWord));
-}
-
-bool Bitmap::Test(size_t index) const {
-  assert(index < num_bits_);
-  return (words_[index / kBitsPerWord] >> (index % kBitsPerWord)) & 1;
-}
-
 size_t Bitmap::CountOnes() const {
   size_t count = 0;
   for (uint64_t word : words_) {
@@ -33,24 +18,22 @@ size_t Bitmap::CountOnes() const {
 
 size_t Bitmap::CountOnesInRange(size_t begin, size_t end) const {
   assert(begin <= end && end <= num_bits_);
-  size_t count = 0;
-  size_t i = begin;
-  // Leading partial word.
-  while (i < end && (i % kBitsPerWord) != 0) {
-    count += Test(i) ? 1 : 0;
-    ++i;
+  if (begin == end) {
+    return 0;
   }
-  // Whole words.
-  while (i + kBitsPerWord <= end) {
-    count += static_cast<size_t>(std::popcount(words_[i / kBitsPerWord]));
-    i += kBitsPerWord;
+  // Masked popcounts: the first word from `begin` up, the last word below `end`.
+  const size_t first = begin / kBitsPerWord;
+  const size_t last = (end - 1) / kBitsPerWord;
+  const uint64_t head = ~uint64_t{0} << (begin % kBitsPerWord);
+  const uint64_t tail = ~uint64_t{0} >> (kBitsPerWord - 1 - (end - 1) % kBitsPerWord);
+  if (first == last) {
+    return static_cast<size_t>(std::popcount(words_[first] & head & tail));
   }
-  // Trailing partial word.
-  while (i < end) {
-    count += Test(i) ? 1 : 0;
-    ++i;
+  size_t count = static_cast<size_t>(std::popcount(words_[first] & head));
+  for (size_t w = first + 1; w < last; ++w) {
+    count += static_cast<size_t>(std::popcount(words_[w]));
   }
-  return count;
+  return count + static_cast<size_t>(std::popcount(words_[last] & tail));
 }
 
 size_t Bitmap::FindFirstSet(size_t from) const {

@@ -5,6 +5,7 @@
 #ifndef SRC_COMMON_BITMAP_H_
 #define SRC_COMMON_BITMAP_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -18,9 +19,20 @@ class Bitmap {
 
   size_t size() const { return num_bits_; }
 
-  void Set(size_t index);
-  void Clear(size_t index);
-  bool Test(size_t index) const;
+  // Inline: the device's programmed bitset and the validity chunks test and flip bits
+  // on every page operation.
+  void Set(size_t index) {
+    assert(index < num_bits_);
+    words_[index / kBitsPerWord] |= (uint64_t{1} << (index % kBitsPerWord));
+  }
+  void Clear(size_t index) {
+    assert(index < num_bits_);
+    words_[index / kBitsPerWord] &= ~(uint64_t{1} << (index % kBitsPerWord));
+  }
+  bool Test(size_t index) const {
+    assert(index < num_bits_);
+    return (words_[index / kBitsPerWord] >> (index % kBitsPerWord)) & 1;
+  }
 
   // Number of set bits in the whole map.
   size_t CountOnes() const;

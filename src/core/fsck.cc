@@ -56,10 +56,11 @@ bool OfflineRebuildable(const NandDevice& device, uint64_t paddr, uint64_t strip
       continue;
     }
     const NandDevice::PageInspection minsp = device.InspectPage(member);
-    if (!minsp.programmed || !minsp.crc_ok) {
+    if (!minsp.programmed || !minsp.crc_ok ||
+        !XorMemberImage(image, minsp.header, device.PeekPageData(member), page_size)
+             .ok()) {
       return false;  // Second fault in the stripe: XOR cannot separate them.
     }
-    XorMemberImage(image, minsp.header, device.PeekPageData(member), page_size);
   }
   return DecodeMemberImage(image, page_size).ok();
 }

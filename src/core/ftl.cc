@@ -1050,12 +1050,12 @@ StatusOr<AppendResult> Ftl::RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
     std::vector<uint8_t> mdata;
     StatusOr<NandOp> mread = device_->ReadPageWithRetry(member_paddr, t, &mheader, &mdata,
                                                         config_.read_retry_limit);
-    if (!mread.ok()) {
+    if (!mread.ok() ||
+        !XorMemberImage(image, mheader, mdata, config_.nand.page_size_bytes).ok()) {
       // Two faults in one stripe: XOR parity cannot recover either. Honest loss.
       return Fail(0, "second unreadable member in stripe");
     }
     t = mread->finish_ns;
-    XorMemberImage(image, mheader, mdata, config_.nand.page_size_bytes);
   }
 
   StatusOr<DecodedMember> decoded =

@@ -72,8 +72,14 @@ StatusOr<RecoveredState> RecoverFromDevice(NandDevice* device, uint64_t issue_ns
   // --- Scan every segment's OOB headers ---
   // Each segment's headers land in one reused buffer and fold straight into `records`,
   // so the scan never holds a second copy of every header. Trim summaries are read after
-  // the scan, in scan order.
+  // the scan, in scan order. A programmed page yields at most one record, so `records`
+  // is sized once; only trim-summary expansion can grow it again.
+  uint64_t programmed_pages = 0;
+  for (uint64_t seg = 0; seg < device->config().num_segments; ++seg) {
+    programmed_pages += device->ProgrammedPages(seg);
+  }
   std::vector<ScanRecord> records;
+  records.reserve(programmed_pages);
   std::vector<uint64_t> trim_summaries;
   std::vector<std::pair<uint64_t, PageHeader>> segment_headers;
   for (uint64_t seg = 0; seg < device->config().num_segments; ++seg) {

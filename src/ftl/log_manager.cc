@@ -44,7 +44,10 @@ void LogManager::AccumulateParity(Head& h, const PageHeader& header,
       stored ? data : std::span<const uint8_t>{};
   PageHeader stamped = header;
   stamped.crc = ComputePageCrc(stamped, payload);
-  XorMemberImage(h.parity_xor, stamped, payload, device_->config().page_size_bytes);
+  if (!XorMemberImage(h.parity_xor, stamped, payload, device_->config().page_size_bytes)
+           .ok()) {
+    h.parity_poisoned = true;
+  }
 }
 
 void LogManager::AccumulateParityStored(Head& h, uint64_t src_paddr) {
@@ -54,8 +57,11 @@ void LogManager::AccumulateParityStored(Head& h, uint64_t src_paddr) {
   if (h.parity_xor.empty()) {
     ResetParity(h);
   }
-  XorMemberImage(h.parity_xor, device_->PeekHeader(src_paddr),
-                 device_->PeekPageData(src_paddr), device_->config().page_size_bytes);
+  if (!XorMemberImage(h.parity_xor, device_->PeekHeader(src_paddr),
+                      device_->PeekPageData(src_paddr), device_->config().page_size_bytes)
+           .ok()) {
+    h.parity_poisoned = true;
+  }
 }
 
 Status LogManager::EmitParityIfDue(int head, uint64_t issue_ns) {
@@ -536,12 +542,13 @@ void LogManager::RebuildFromDevice() {
   for (uint64_t i = StripeStartIndex(next, parity_stripe_); i < next; ++i) {
     const uint64_t paddr = device_->FirstPageOf(seg) + i;
     const NandDevice::PageInspection insp = device_->InspectPage(paddr);
-    if (!insp.programmed || !insp.crc_ok) {
+    if (!insp.programmed || !insp.crc_ok ||
+        !XorMemberImage(h.parity_xor, insp.header, device_->PeekPageData(paddr),
+                        device_->config().page_size_bytes)
+             .ok()) {
       h.parity_poisoned = true;
       break;
     }
-    XorMemberImage(h.parity_xor, insp.header, device_->PeekPageData(paddr),
-                   device_->config().page_size_bytes);
   }
 }
 

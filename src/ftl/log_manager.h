@@ -203,7 +203,8 @@ class LogManager {
   // corruption, which is exactly what lets a later rebuild reproduce clean bytes.
   void AccumulateParity(Head& h, const PageHeader& header, std::span<const uint8_t> data);
   // Copyback variant: the host never sees the payload, so the accumulator taps the
-  // source page's stored bytes (the modeled on-die XOR engine).
+  // source page's stored bytes (the modeled on-die XOR engine). In both variants a
+  // member with no image (XorMemberImage's kDataLoss) poisons the accumulator.
   void AccumulateParityStored(Head& h, uint64_t src_paddr);
   // Writes parity pages while the head's next free slot is a parity slot (at most two
   // in a row: a regular slot adjacent to the segment-final slot). A parity program

@@ -1,6 +1,7 @@
 #include "src/nand/nand_device.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
@@ -61,7 +62,9 @@ const char* RecordTypeName(RecordType type) {
 NandDevice::NandDevice(const NandConfig& config)
     : config_(config),
       fault_(config.fault),
-      pages_(config.TotalPages()),
+      headers_(config.TotalPages()),
+      programmed_(config.TotalPages()),
+      programmed_at_ns_(config.TotalPages(), 0),
       segments_(config.num_segments),
       channel_busy_until_(config.num_channels, 0),
       bus_busy_until_(config.buses, 0),
@@ -72,6 +75,7 @@ NandDevice::NandDevice(const NandConfig& config)
   IOSNAP_CHECK(config.buses > 0);
   IOSNAP_CHECK(config.pages_per_segment > 0);
   IOSNAP_CHECK(config.num_segments > 0);
+  IOSNAP_CHECK(ArenaOffsetsFit(config));
   // NAND ships factory-erased: first programs need no erase. (Erases after that are
   // charged wherever they happen — normally in the cleaner's release path.)
   for (SegmentState& seg : segments_) {
@@ -145,8 +149,8 @@ StatusOr<NandOp> NandDevice::ProgramCommit(uint64_t segment, const PageHeader& h
                                            uint64_t* paddr_out) {
   RETURN_IF_ERROR(fault_.BeginOp());
   SegmentState& seg = segments_[segment];
-  const uint64_t paddr = FirstPageOf(segment) + seg.next_page;
-  ++seg.next_page;
+  const uint64_t slot = seg.next_page++;
+  const uint64_t paddr = FirstPageOf(segment) + slot;
 
   if (fault_.DrawProgramFail()) {
     // The failed attempt consumes the page slot (it is left unprogrammed) and the
@@ -161,22 +165,22 @@ StatusOr<NandOp> NandDevice::ProgramCommit(uint64_t segment, const PageHeader& h
     return DataLoss("program: injected failure in segment " + std::to_string(segment));
   }
 
-  PageState& page = pages_[paddr];
-  IOSNAP_CHECK(!page.programmed);
-  page.programmed = true;
-  page.programmed_at_ns = issue_ns;
-  page.header = header;
+  IOSNAP_CHECK(!programmed_.Test(paddr));
+  programmed_.Set(paddr);
+  programmed_at_ns_[paddr] = issue_ns;
   // Metadata payloads (summaries, snapshot names, parity images) are always retained:
   // header-only benchmarking mode must still support restarts, note consolidation, and
   // stripe rebuilds.
-  if ((config_.store_data || PayloadAlwaysStored(header.type)) && !data.empty()) {
-    page.data.assign(data.begin(), data.end());
-  } else {
-    page.data.clear();
+  const bool keep_payload =
+      (config_.store_data || PayloadAlwaysStored(header.type)) && !data.empty();
+  if (keep_payload) {
+    AppendPayload(seg, slot, data);
   }
   // The CRC covers the payload as actually stored, so header-only mode stays
   // self-consistent on read-back.
-  page.header.crc = ComputePageCrc(page.header, page.data);
+  headers_[paddr] = header;
+  headers_[paddr].crc =
+      ComputePageCrc(header, keep_payload ? data : std::span<const uint8_t>{});
 
   if (fault_.DrawCorrupt()) {
     FlipStoredBit(paddr);
@@ -260,14 +264,13 @@ StatusOr<NandOp> NandDevice::ReadPage(uint64_t paddr, uint64_t issue_ns,
   if (paddr >= config_.TotalPages()) {
     return OutOfRange("read: paddr out of range");
   }
-  if (!pages_[paddr].programmed) {
+  if (!programmed_.Test(paddr)) {
     return FailedPrecondition("read: page " + std::to_string(paddr) + " is not programmed");
   }
   RETURN_IF_ERROR(fault_.BeginOp());
   // The sense itself wears the media: count it against the segment and roll the
   // state-dependent corruption dice before any verification below.
   ApplyReadWear(paddr, issue_ns);
-  const PageState& page = pages_[paddr];
 
   if (fault_.DrawReadFail()) {
     ++stats_.read_failures;
@@ -279,17 +282,18 @@ StatusOr<NandOp> NandDevice::ReadPage(uint64_t paddr, uint64_t issue_ns,
     }
     return Unavailable("read: transient failure at paddr " + std::to_string(paddr));
   }
-  if (!PageCrcOk(page)) {
+  const std::span<const uint8_t> payload = StoredPayload(paddr);
+  if (!PageCrcOk(paddr, payload)) {
     ++stats_.crc_errors;
     Occupy(ChannelOfPage(paddr), issue_ns, config_.bus_ns_per_page, config_.read_ns);
     return DataLoss("read: CRC mismatch at paddr " + std::to_string(paddr));
   }
 
   if (header_out != nullptr) {
-    *header_out = page.header;
+    *header_out = headers_[paddr];
   }
   if (data_out != nullptr) {
-    *data_out = page.data;
+    data_out->assign(payload.begin(), payload.end());
   }
 
   ++stats_.pages_read;
@@ -304,7 +308,7 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
   if (src_paddr >= config_.TotalPages()) {
     return OutOfRange("copyback: src paddr out of range");
   }
-  if (!pages_[src_paddr].programmed) {
+  if (!programmed_.Test(src_paddr)) {
     return FailedPrecondition("copyback: page " + std::to_string(src_paddr) +
                               " is not programmed");
   }
@@ -326,7 +330,8 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
                              " is full");
   }
   RETURN_IF_ERROR(fault_.BeginOp());
-  const uint64_t dst_paddr = FirstPageOf(dst_segment) + seg.next_page;
+  const uint64_t dst_slot = seg.next_page;
+  const uint64_t dst_paddr = FirstPageOf(dst_segment) + dst_slot;
   const uint32_t src_chan = ChannelOfPage(src_paddr);
   const uint32_t dst_chan = ChannelOfPage(dst_paddr);
   const bool on_die = src_chan == dst_chan;
@@ -334,7 +339,6 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
 
   // The internal source sense is still a data read: it disturbs the source segment.
   ApplyReadWear(src_paddr, issue_ns);
-  const PageState& src = pages_[src_paddr];
   if (fault_.DrawReadFail()) {
     // The failed internal read still occupied the source channel (and, on the
     // cross-channel fallback, its bus). Retryable; the destination slot survives.
@@ -347,7 +351,7 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
     return Unavailable("copyback: transient read failure at paddr " +
                        std::to_string(src_paddr));
   }
-  if (config_.copyback_scrub && !PageCrcOk(src)) {
+  if (config_.copyback_scrub && !PageCrcOk(src_paddr)) {
     // Scrub-on-copyback: the on-die move would otherwise relocate corruption without
     // any host CRC check. Caught here, the page is dropped by the caller's normal
     // unreadable-page path and nothing is programmed.
@@ -374,15 +378,24 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
                     std::to_string(dst_segment));
   }
 
-  PageState& dst = pages_[dst_paddr];
-  IOSNAP_CHECK(!dst.programmed);
-  dst.programmed = true;
-  dst.programmed_at_ns = issue_ns;
+  IOSNAP_CHECK(!programmed_.Test(dst_paddr));
+  programmed_.Set(dst_paddr);
+  programmed_at_ns_[dst_paddr] = issue_ns;
   // The stored bytes move verbatim — header with its original CRC plus payload — so a
   // corruption that slipped past a disabled scrub still fails verification at the new
   // address instead of being laundered by a recomputed checksum.
-  dst.header = src.header;
-  dst.data = src.data;
+  headers_[dst_paddr] = headers_[src_paddr];
+  std::span<const uint8_t> payload = StoredPayload(src_paddr);
+  if (!payload.empty()) {
+    // A source in the destination segment lives in the arena the append may move:
+    // copy its bytes out first.
+    std::vector<uint8_t> own_segment;
+    if (SegmentOf(src_paddr) == dst_segment) {
+      own_segment.assign(payload.begin(), payload.end());
+      payload = own_segment;
+    }
+    AppendPayload(seg, dst_slot, payload);
+  }
 
   if (fault_.DrawCorrupt()) {
     FlipStoredBit(dst_paddr);
@@ -455,8 +468,7 @@ StatusOr<NandOp> NandDevice::ReadHeader(uint64_t paddr, uint64_t issue_ns,
   if (paddr >= config_.TotalPages()) {
     return OutOfRange("read-header: paddr out of range");
   }
-  const PageState& page = pages_[paddr];
-  if (!page.programmed) {
+  if (!programmed_.Test(paddr)) {
     return FailedPrecondition("read-header: page not programmed");
   }
   RETURN_IF_ERROR(fault_.BeginOp());
@@ -469,13 +481,13 @@ StatusOr<NandOp> NandDevice::ReadHeader(uint64_t paddr, uint64_t issue_ns,
     }
     return Unavailable("read-header: transient failure at paddr " + std::to_string(paddr));
   }
-  if (!PageCrcOk(page)) {
+  if (!PageCrcOk(paddr)) {
     ++stats_.crc_errors;
     Occupy(ChannelOfPage(paddr), issue_ns, 0, config_.read_ns);
     return DataLoss("read-header: CRC mismatch at paddr " + std::to_string(paddr));
   }
   if (header_out != nullptr) {
-    *header_out = page.header;
+    *header_out = headers_[paddr];
   }
   ++stats_.headers_scanned;
 
@@ -493,19 +505,19 @@ StatusOr<NandOp> NandDevice::ScanSegmentHeaders(
   const uint64_t first = FirstPageOf(segment);
   uint64_t scanned = 0;
   for (uint64_t i = 0; i < seg.next_page; ++i) {
-    const PageState& page = pages_[first + i];
-    if (!page.programmed) {
+    const uint64_t paddr = first + i;
+    if (!programmed_.Test(paddr)) {
       continue;
     }
     ++scanned;
-    if (!PageCrcOk(page)) {
+    if (!PageCrcOk(paddr, seg.Payload(i))) {
       // Torn or corrupted page: the scan read it (time is charged) but drops it, so
       // recovery and activation never see a record that fails its checksum.
       ++stats_.crc_errors;
       continue;
     }
     if (out != nullptr) {
-      out->emplace_back(first + i, page.header);
+      out->emplace_back(paddr, headers_[paddr]);
     }
   }
   stats_.headers_scanned += scanned;
@@ -542,14 +554,15 @@ StatusOr<NandOp> NandDevice::EraseSegment(uint64_t segment, uint64_t issue_ns) {
     return DataLoss("erase: injected failure in segment " + std::to_string(segment));
   }
 
+  // Slots at or past next_page were never programmed since the last erase.
   const uint64_t first = FirstPageOf(segment);
-  for (uint64_t i = 0; i < config_.pages_per_segment; ++i) {
-    PageState& page = pages_[first + i];
-    page.programmed = false;
-    page.data.clear();
-    page.header = PageHeader{};
-    page.programmed_at_ns = 0;
+  for (uint64_t paddr = first; paddr < first + seg.next_page; ++paddr) {
+    programmed_.Clear(paddr);
+    headers_[paddr] = PageHeader{};
+    programmed_at_ns_[paddr] = 0;
   }
+  seg.payload.clear();
+  seg.payload_end.clear();
   seg.erased = true;
   seg.next_page = 0;
   // Erase resets both wear-model terms: a fresh block carries no read disturb and
@@ -576,8 +589,7 @@ void NandDevice::ApplyReadWear(uint64_t paddr, uint64_t now_ns) {
   if (fc.read_disturb_ppm_per_k_reads == 0 && fc.retention_ppm_per_sec == 0) {
     return;
   }
-  PageState& page = pages_[paddr];
-  if (!page.programmed) {
+  if (!programmed_.Test(paddr)) {
     return;
   }
   if (fc.read_disturb_ppm_per_k_reads != 0) {
@@ -593,9 +605,9 @@ void NandDevice::ApplyReadWear(uint64_t paddr, uint64_t now_ns) {
     }
   }
   if (fc.retention_ppm_per_sec != 0) {
+    const uint64_t programmed_at = programmed_at_ns_[paddr];
     const uint64_t age_sec =
-        (now_ns > page.programmed_at_ns ? now_ns - page.programmed_at_ns : 0) /
-        1000000000ull;
+        (now_ns > programmed_at ? now_ns - programmed_at : 0) / 1000000000ull;
     const uint64_t effective_ppm = fc.retention_ppm_per_sec * age_sec;
     if (fault_.DrawWear(effective_ppm)) {
       FlipStoredBit(paddr);
@@ -626,24 +638,36 @@ void NandDevice::MarkBad(uint64_t segment) {
   }
 }
 
-bool NandDevice::PageCrcOk(const PageState& page) const {
-  return page.header.crc == ComputePageCrc(page.header, page.data);
+void NandDevice::AppendPayload(SegmentState& seg, uint64_t slot,
+                               std::span<const uint8_t> bytes) {
+  std::vector<uint8_t>& arena = seg.payload;
+  const uint64_t need = arena.size() + bytes.size();
+  if (need > arena.capacity()) {
+    // Double as vector would, but never past the most this segment can hold, so a
+    // full segment of parity-striped pages does not strand a second arena's worth.
+    const uint64_t most = config_.pages_per_segment * MaxPayloadBytes(RecordType::kParity);
+    arena.reserve(std::min<uint64_t>(std::max<uint64_t>(2 * arena.capacity(), need), most));
+  }
+  seg.payload_end.resize(slot, static_cast<uint32_t>(arena.size()));
+  arena.insert(arena.end(), bytes.begin(), bytes.end());
+  seg.payload_end.push_back(static_cast<uint32_t>(arena.size()));
 }
 
 void NandDevice::FlipStoredBit(uint64_t paddr) {
-  PageState& page = pages_[paddr];
-  if (!page.data.empty()) {
-    const uint64_t bit = fault_.PickBit(page.data.size() * 8);
-    page.data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  SegmentState& seg = segments_[SegmentOf(paddr)];
+  const auto [begin, end] = seg.PayloadRange(PageInSegment(paddr));
+  if (begin != end) {
+    const uint64_t bit = fault_.PickBit(uint64_t{end - begin} * 8);
+    seg.payload[begin + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   } else {
     // Header-only page: corrupt an OOB field instead.
-    page.header.lba ^= uint64_t{1} << fault_.PickBit(48);
+    headers_[paddr].lba ^= uint64_t{1} << fault_.PickBit(48);
   }
 }
 
 void NandDevice::CorruptPageForTesting(uint64_t paddr) {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  IOSNAP_CHECK(pages_[paddr].programmed);
+  IOSNAP_CHECK(programmed_.Test(paddr));
   FlipStoredBit(paddr);
   ++stats_.pages_corrupted;
 }
@@ -655,25 +679,25 @@ bool NandDevice::IsBadSegment(uint64_t segment) const {
 
 bool NandDevice::PageCrcIntact(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  IOSNAP_CHECK(pages_[paddr].programmed);
-  return PageCrcOk(pages_[paddr]);
+  IOSNAP_CHECK(programmed_.Test(paddr));
+  return PageCrcOk(paddr);
 }
 
 bool NandDevice::IsProgrammed(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  return pages_[paddr].programmed;
+  return programmed_.Test(paddr);
 }
 
 const PageHeader& NandDevice::PeekHeader(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  IOSNAP_CHECK(pages_[paddr].programmed);
-  return pages_[paddr].header;
+  IOSNAP_CHECK(programmed_.Test(paddr));
+  return headers_[paddr];
 }
 
 std::span<const uint8_t> NandDevice::PeekPageData(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  IOSNAP_CHECK(pages_[paddr].programmed);
-  return pages_[paddr].data;
+  IOSNAP_CHECK(programmed_.Test(paddr));
+  return StoredPayload(paddr);
 }
 
 uint64_t NandDevice::MaxPayloadBytes(RecordType type) const {
@@ -681,16 +705,17 @@ uint64_t NandDevice::MaxPayloadBytes(RecordType type) const {
          (type == RecordType::kParity ? kParityImagePrefixBytes : 0);
 }
 
+bool NandDevice::ArenaOffsetsFit(const NandConfig& config) {
+  constexpr uint64_t kMaxArenaBytes = std::numeric_limits<uint32_t>::max();
+  return config.page_size_bytes < kMaxArenaBytes &&
+         config.pages_per_segment <=
+             kMaxArenaBytes / (config.page_size_bytes + kParityImagePrefixBytes);
+}
+
 uint64_t NandDevice::ProgrammedPages(uint64_t segment) const {
   IOSNAP_CHECK(segment < config_.num_segments);
   const uint64_t first = FirstPageOf(segment);
-  uint64_t count = 0;
-  for (uint64_t i = 0; i < segments_[segment].next_page; ++i) {
-    if (pages_[first + i].programmed) {
-      ++count;
-    }
-  }
-  return count;
+  return programmed_.CountOnesInRange(first, first + segments_[segment].next_page);
 }
 
 uint64_t NandDevice::NextFreePage(uint64_t segment) const {
@@ -715,17 +740,16 @@ uint64_t NandDevice::SegmentReadCount(uint64_t segment) const {
 
 uint64_t NandDevice::PageProgrammedAtNs(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  return pages_[paddr].programmed_at_ns;
+  return programmed_at_ns_[paddr];
 }
 
 NandDevice::PageInspection NandDevice::InspectPage(uint64_t paddr) const {
   IOSNAP_CHECK(paddr < config_.TotalPages());
-  const PageState& page = pages_[paddr];
   PageInspection out;
-  out.programmed = page.programmed;
-  if (page.programmed) {
-    out.crc_ok = PageCrcOk(page);
-    out.header = page.header;
+  out.programmed = programmed_.Test(paddr);
+  if (out.programmed) {
+    out.crc_ok = PageCrcOk(paddr);
+    out.header = headers_[paddr];
   }
   return out;
 }

@@ -24,8 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "src/common/bitmap.h"
 #include "src/common/status.h"
 #include "src/nand/fault_injector.h"
 #include "src/nand/nand_config.h"
@@ -170,9 +172,11 @@ class NandDevice {
   // on-die data path parity accumulation taps during copyback (the bytes never cross
   // the transfer bus) and backs fsck's offline stripe reconstruction. CHECK-fails on
   // free pages. May return corrupted bytes — callers that need integrity must check
-  // PageCrcIntact first.
+  // PageCrcIntact first. The span points into the segment's payload arena: it stays
+  // valid only until the next program or erase of that segment, so use or copy it
+  // before programming anything.
   std::span<const uint8_t> PeekPageData(uint64_t paddr) const;
-  // Number of programmed pages in a segment.
+  // Number of programmed pages in a segment (failed-program holes excluded).
   uint64_t ProgrammedPages(uint64_t segment) const;
   // Next page index to be programmed in a segment (== pages_per_segment when full).
   uint64_t NextFreePage(uint64_t segment) const;
@@ -234,7 +238,8 @@ class NandDevice {
   // injection disarmed: images are inspected and repaired on a healthy host, and
   // latent damage is already baked into the stored bits. Untrusted bytes end in a
   // Status: geometry larger than the image can hold, above 2^24 pages in total, or
-  // above 2^16 channels or buses is kDataLoss before anything is allocated.
+  // above 2^16 channels or buses, or segments whose payload could reach 4 GiB is
+  // kDataLoss before anything is allocated.
   static StatusOr<std::unique_ptr<NandDevice>> Deserialize(
       const std::vector<uint8_t>& bytes);
 
@@ -276,19 +281,31 @@ class NandDevice {
   double BusBusyFrac(uint32_t bus) const;
 
  private:
-  struct PageState {
-    bool programmed = false;
-    PageHeader header;
-    std::vector<uint8_t> data;
-    uint64_t programmed_at_ns = 0;  // Virtual clock at program time (retention age).
-  };
-
   struct SegmentState {
     bool erased = false;          // True after first erase; programming requires it.
     bool bad = false;             // Grown bad block: no further programs or erases.
     uint64_t next_page = 0;       // Next in-order page to program.
     uint64_t erase_count = 0;
     uint64_t read_count = 0;      // Data reads since last erase (read-disturb input).
+    // Payload arena: the stored payloads of this segment's pages appended in program
+    // order, and the end offset of each slot's bytes. Slot i holds
+    // [payload_end[i - 1], payload_end[i]) (from 0 for slot 0); slots at or past
+    // payload_end.size() store nothing, so a segment that never stores a payload
+    // allocates nothing. Erase clears both and keeps their capacity.
+    std::vector<uint8_t> payload;
+    std::vector<uint32_t> payload_end;
+
+    // [begin, end) offsets of `slot`'s payload in `payload`.
+    std::pair<uint32_t, uint32_t> PayloadRange(uint64_t slot) const {
+      if (slot >= payload_end.size()) {
+        return {0, 0};
+      }
+      return {slot == 0 ? 0 : payload_end[slot - 1], payload_end[slot]};
+    }
+    std::span<const uint8_t> Payload(uint64_t slot) const {
+      const auto [begin, end] = PayloadRange(slot);
+      return std::span<const uint8_t>(payload).subspan(begin, end - begin);
+    }
   };
 
   uint32_t ChannelOfPage(uint64_t paddr) const {
@@ -324,14 +341,35 @@ class NandDevice {
   // was holding the maximum.
   void MarkBad(uint64_t segment);
   void FlipStoredBit(uint64_t paddr);
-  bool PageCrcOk(const PageState& page) const;
+  // Stored payload of a page (empty when it stores none); see PeekPageData for how
+  // long the span stays valid.
+  std::span<const uint8_t> StoredPayload(uint64_t paddr) const {
+    return segments_[SegmentOf(paddr)].Payload(PageInSegment(paddr));
+  }
+  bool PageCrcOk(uint64_t paddr, std::span<const uint8_t> payload) const {
+    return headers_[paddr].crc == ComputePageCrc(headers_[paddr], payload);
+  }
+  bool PageCrcOk(uint64_t paddr) const { return PageCrcOk(paddr, StoredPayload(paddr)); }
+  // Appends `bytes` as the payload of `slot`, the segment's newest programmed slot.
+  // `bytes` must not point into this segment's arena, which the append may move.
+  void AppendPayload(SegmentState& seg, uint64_t slot, std::span<const uint8_t> bytes);
   // Payload-size ceiling per record type: parity pages carry the member-image prefix
   // on top of a full page of XORed payload bytes.
   uint64_t MaxPayloadBytes(RecordType type) const;
+  // True when a segment of `config` cannot hold 4 GiB of payload, so the arena's 32-bit
+  // offsets cannot wrap: every slot at the per-type maximum stays below 2^32 bytes.
+  static bool ArenaOffsetsFit(const NandConfig& config);
 
   NandConfig config_;
   FaultInjector fault_;
-  std::vector<PageState> pages_;
+  // Per-page state, one structure per reader: the OOB header of every page (a default
+  // header on free pages), the programmed bit (a failed program leaves an unprogrammed
+  // hole below next_page, so it is not implied by the segment), and the virtual clock
+  // at program time, which only the retention model and the patrol's age trigger read.
+  // Payloads live in each segment's arena.
+  std::vector<PageHeader> headers_;
+  Bitmap programmed_;
+  std::vector<uint64_t> programmed_at_ns_;
   std::vector<SegmentState> segments_;
   std::vector<uint64_t> channel_busy_until_;
   // One busy horizon per transfer bus (config.buses entries; buses=1 reproduces the

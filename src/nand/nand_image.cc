@@ -1,6 +1,7 @@
 #include "src/nand/nand_image.h"
 
 #include <fstream>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -78,15 +79,17 @@ void NandDevice::SerializeTo(std::vector<uint8_t>* out) const {
     // Only slots below next_page can be programmed; each records its programmed
     // flag (failed programs leave holes below next_page).
     for (uint64_t i = 0; i < seg.next_page; ++i) {
-      const PageState& page = pages_[first + i];
-      PutU8(out, page.programmed ? 1 : 0);
-      if (!page.programmed) {
+      const uint64_t paddr = first + i;
+      const bool programmed = programmed_.Test(paddr);
+      PutU8(out, programmed ? 1 : 0);
+      if (!programmed) {
         continue;
       }
-      PutHeader(out, page.header);
-      PutU64(out, page.programmed_at_ns);
-      PutU32(out, static_cast<uint32_t>(page.data.size()));
-      out->insert(out->end(), page.data.begin(), page.data.end());
+      PutHeader(out, headers_[paddr]);
+      PutU64(out, programmed_at_ns_[paddr]);
+      const std::span<const uint8_t> payload = seg.Payload(i);
+      PutU32(out, static_cast<uint32_t>(payload.size()));
+      out->insert(out->end(), payload.begin(), payload.end());
     }
   }
 }
@@ -135,6 +138,9 @@ StatusOr<std::unique_ptr<NandDevice>> NandDevice::Deserialize(
     return DataLoss("nand-image: channel or bus count exceeds " +
                     std::to_string(kMaxImageChannels));
   }
+  if (!ArenaOffsetsFit(config)) {
+    return DataLoss("nand-image: a segment could hold 4 GiB of payload");
+  }
   // config.fault stays default (all rates zero): images load disarmed.
   auto device = std::make_unique<NandDevice>(config);
   for (uint64_t s = 0; s < config.num_segments; ++s) {
@@ -155,10 +161,11 @@ StatusOr<std::unique_ptr<NandDevice>> NandDevice::Deserialize(
       if (flag == 0) {
         continue;
       }
-      PageState& page = device->pages_[first + i];
-      page.programmed = true;
-      RETURN_IF_ERROR(GetHeader(bytes, &offset, &page.header));
-      RETURN_IF_ERROR(GetU64(bytes, &offset, &page.programmed_at_ns));
+      const uint64_t paddr = first + i;
+      device->programmed_.Set(paddr);
+      PageHeader& header = device->headers_[paddr];
+      RETURN_IF_ERROR(GetHeader(bytes, &offset, &header));
+      RETURN_IF_ERROR(GetU64(bytes, &offset, &device->programmed_at_ns_[paddr]));
       uint32_t len = 0;
       RETURN_IF_ERROR(GetU32(bytes, &offset, &len));
       if (offset + len > bytes.size()) {
@@ -166,10 +173,13 @@ StatusOr<std::unique_ptr<NandDevice>> NandDevice::Deserialize(
       }
       // Parity pages legitimately exceed the page size: their payload is the XOR
       // member image (header-prefix + payload), so bound by the per-type limit.
-      if (len > device->MaxPayloadBytes(page.header.type)) {
+      if (len > device->MaxPayloadBytes(header.type)) {
         return DataLoss("nand-image: payload larger than a page");
       }
-      page.data.assign(bytes.begin() + offset, bytes.begin() + offset + len);
+      if (len > 0) {
+        device->AppendPayload(seg, i,
+                              std::span<const uint8_t>(bytes).subspan(offset, len));
+      }
       offset += len;
     }
     if (!seg.bad) {

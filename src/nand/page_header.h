@@ -54,11 +54,13 @@ inline constexpr bool PayloadAlwaysStored(RecordType type) {
          type == RecordType::kSnapCreate || type == RecordType::kParity;
 }
 
-// Fixed-size header stored in each page's OOB area.
+// Fixed-size header stored in each page's OOB area. The member order only sets the
+// in-memory layout (epoch sits beside type, so the struct has no padding past the type
+// byte); every serialization writes the fields one by one in a fixed order.
 struct PageHeader {
   RecordType type = RecordType::kInvalid;
-  uint64_t lba = 0;         // Logical block address (kData), or range start (kTrim).
   uint32_t epoch = 0;       // Epoch the record logically belongs to (survives GC moves).
+  uint64_t lba = 0;         // Logical block address (kData), or range start (kTrim).
   uint64_t seq = 0;         // Global write sequence number; preserved by copy-forward.
   uint32_t snap_id = 0;     // Snapshot id for snapshot notes.
   uint32_t trim_count = 0;  // Number of LBAs trimmed (kTrim).
@@ -74,6 +76,9 @@ struct PageHeader {
            type == RecordType::kRollback;
   }
 };
+// The device keeps one header per physical page, so its size is most of the NAND
+// model's memory.
+static_assert(sizeof(PageHeader) == 40);
 
 // Serialized OOB footprint charged by the device model (bytes per page of header traffic).
 inline constexpr uint64_t kPageHeaderBytes = 44;

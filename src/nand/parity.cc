@@ -32,10 +32,13 @@ void PutLe32(uint8_t* dst, uint32_t v) {
 
 }  // namespace
 
-void XorMemberImage(std::span<uint8_t> image, const PageHeader& header,
-                    std::span<const uint8_t> stored_payload, uint64_t page_size_bytes) {
+Status XorMemberImage(std::span<uint8_t> image, const PageHeader& header,
+                      std::span<const uint8_t> stored_payload, uint64_t page_size_bytes) {
   IOSNAP_CHECK(image.size() == ParityImageSize(page_size_bytes));
-  IOSNAP_CHECK(stored_payload.size() <= page_size_bytes);
+  if (stored_payload.size() > page_size_bytes) {
+    return DataLoss("parity: member payload of " + std::to_string(stored_payload.size()) +
+                    " bytes exceeds the page size");
+  }
   uint8_t prefix[kParityImagePrefixBytes];
   SerializePageHeaderFields(header, prefix);
   PutLe32(prefix + kPageHeaderCrcFieldBytes, header.crc);
@@ -49,6 +52,7 @@ void XorMemberImage(std::span<uint8_t> image, const PageHeader& header,
   for (size_t i = 0; i < stored_payload.size(); ++i) {
     image[kParityImagePrefixBytes + i] ^= stored_payload[i];
   }
+  return OkStatus();
 }
 
 StatusOr<DecodedMember> DecodeMemberImage(std::span<const uint8_t> image,

@@ -68,9 +68,11 @@ inline constexpr uint64_t ParitySlotFor(uint64_t index, uint64_t stripe,
 
 // XORs the member image of (header, stored_payload) into `image`, which must be
 // ParityImageSize(page_size) bytes. `stored_payload` is the payload exactly as stored
-// on the page (empty when the device elided it), at most page_size bytes.
-void XorMemberImage(std::span<uint8_t> image, const PageHeader& header,
-                    std::span<const uint8_t> stored_payload, uint64_t page_size_bytes);
+// on the page (empty when the device elided it). A payload longer than a page has no
+// member image: that is kDataLoss with `image` untouched, and every caller treats the
+// member as unreadable (a kParity-typed page on media may legally hold one).
+Status XorMemberImage(std::span<uint8_t> image, const PageHeader& header,
+                      std::span<const uint8_t> stored_payload, uint64_t page_size_bytes);
 
 // A member page decoded back out of a fully-XORed image (parity XOR all surviving
 // members): its header (with the originally stamped CRC) and stored payload.

@@ -44,6 +44,15 @@ TEST(BitmapTest, CountOnesInRange) {
   EXPECT_EQ(bm.CountOnesInRange(50, 150), expected);
   EXPECT_EQ(bm.CountOnesInRange(0, 256), bm.CountOnes());
   EXPECT_EQ(bm.CountOnesInRange(100, 100), 0u);
+  // Every range against a per-bit count: inside one word, across words, and ending on
+  // a word boundary.
+  for (size_t begin = 0; begin <= 256; ++begin) {
+    size_t count = 0;
+    for (size_t end = begin; end <= 256; ++end) {
+      ASSERT_EQ(bm.CountOnesInRange(begin, end), count) << begin << ".." << end;
+      count += end < 256 && bm.Test(end) ? 1 : 0;
+    }
+  }
 }
 
 TEST(BitmapTest, FindFirstSet) {

@@ -6,7 +6,11 @@
 // configs run once through scalar calls and once through vectored calls. Every op's
 // status and completion record, the final stats, the primary map, each live epoch's
 // valid pages, the device drain time and the per-type trace counts fold into one
-// digest per config, compared with a constant recorded from an earlier commit.
+// digest per config, compared with a constant recorded from an earlier commit. A second
+// digest covers the NAND image saved at the end of the run, and that image must load
+// back into a device that saves the same bytes. Three configs vary the device or the
+// background instead of the submission style: header-only storage, copyback GC under
+// program faults and corruption, and patrol with idle gaps and retention wear.
 //
 // A digest changes only when its constant is edited, together with a CHANGES.md line
 // that says why.
@@ -48,7 +52,15 @@ struct GoldenCase {
   uint32_t degraded_free_floor = 0;
   uint64_t crash_after_op = 0;  // Crash, then Ftl::Open on the disarmed device.
   bool clean_reopen = false;    // ReleaseDevice + Ftl::Open after the third phase.
+  bool store_data = true;       // false: a header-only device, as the benchmarks run.
+  bool gc_copyback = false;     // The cleaner relocates through CopybackPage.
+  bool patrol = false;          // Patrol with its read-count and age refresh triggers.
+  uint32_t retention_ppm = 0;   // Wear model: bit flips per second of page age.
+  uint64_t idle_ms = 0;  // Idle gap after each phase, with the background pumped.
   uint64_t digest = 0;
+  // The saved NAND image at the end of the run: every stored header, CRC, payload,
+  // program time and failed-program hole.
+  uint64_t image_digest = 0;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
@@ -96,10 +108,19 @@ class GoldenRun {
   explicit GoldenRun(const GoldenCase& c) : case_(c), config_(SmallConfig()) {
     config_.parity_stripe = c.parity_stripe;
     config_.degraded_free_floor = c.degraded_free_floor;
+    config_.nand.store_data = c.store_data;
+    config_.gc_copyback = c.gc_copyback;
+    if (c.patrol) {
+      config_.patrol_enabled = true;
+      config_.patrol_sleep_ms = 1;
+      config_.patrol_refresh_reads = 24;
+      config_.patrol_refresh_age_ms = 1500;
+    }
     FaultPlan plan;
     plan.read_fail_ppm = c.read_fail_ppm;
     plan.corrupt_ppm = c.corrupt_ppm;
     plan.program_fail_ppm = c.program_fail_ppm;
+    plan.retention_ppm_per_sec = c.retention_ppm;
     plan.crash_after_op = c.crash_after_op;
     plan.ApplyTo(&config_);
     auto ftl_or = Ftl::Create(config_);
@@ -126,6 +147,7 @@ class GoldenRun {
           }
         }
       }
+      Idle();
       if (p < 2) {
         auto snap = ftl_->CreateSnapshot(p == 0 ? "a" : "b", now_);
         Fold(snap.status());
@@ -189,6 +211,16 @@ class GoldenRun {
 
  private:
   void Fold(const Status& status) { digest_.Add(static_cast<uint64_t>(status.code())); }
+
+  // The case's idle gap: the clock moves on in 10 ms steps, pumping the background at
+  // each, so pages age and patrol sweeps run with no foreground traffic.
+  void Idle() {
+    const uint64_t end = now_ + case_.idle_ms * 1000000;
+    while (now_ < end) {
+      now_ = std::min(end, now_ + 10000000);
+      ftl_->PumpBackground(now_);
+    }
+  }
 
   void FoldIo(const IoResult& r) {
     digest_.Add(r.op.issue_ns);
@@ -407,7 +439,37 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
   if (c.crash_after_op > 0 || c.clean_reopen) {
     EXPECT_EQ(run.reopens(), 1);
   }
+  if (!c.store_data) {
+    auto map = run.ftl().ViewMapEntries(kPrimaryView);
+    ASSERT_TRUE(map.ok());
+    ASSERT_FALSE(map->empty());
+    for (const auto& [lba, paddr] : *map) {
+      ASSERT_TRUE(run.ftl().device().PeekPageData(paddr).empty()) << "lba " << lba;
+    }
+  }
+  if (c.gc_copyback) {
+    EXPECT_GT(nand.copyback_pages, 0u);
+  }
+  if (c.patrol) {
+    EXPECT_GT(run.ftl().stats().patrol_pages_rewritten, 0u);
+  }
+  if (c.retention_ppm > 0) {
+    EXPECT_GT(nand.retention_corruptions, 0u);
+  }
   EXPECT_EQ(digest, c.digest) << c.name << ": actual digest 0x" << std::hex << digest;
+
+  // The image pins the media itself, and loading it must give back the same bytes.
+  std::vector<uint8_t> image;
+  run.ftl().device().SerializeTo(&image);
+  Digest image_digest;
+  image_digest.AddBytes(image);
+  EXPECT_EQ(image_digest.value(), c.image_digest)
+      << c.name << ": actual image digest 0x" << std::hex << image_digest.value();
+  auto loaded = NandDevice::Deserialize(image);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::vector<uint8_t> reloaded;
+  (*loaded)->SerializeTo(&reloaded);
+  EXPECT_TRUE(reloaded == image) << c.name << ": image does not survive a load";
 }
 
 // The fault configs run once through scalar calls and once through WriteV/ReadV/TrimV
@@ -416,48 +478,83 @@ INSTANTIATE_TEST_SUITE_P(
     Golden, IoGoldenTest,
     ::testing::Values(
         GoldenCase{.name = "scalar", .path = Path::kScalar, .group = 1,
-                   .digest = 0x66a6a6de6460fa46ULL},
+                   .digest = 0x66a6a6de6460fa46ULL,
+                   .image_digest = 0x7a9e628db52670daULL},
         GoldenCase{.name = "vec7", .path = Path::kVectored, .group = 7,
-                   .digest = 0x743a9a877a7176e6ULL},
+                   .digest = 0x743a9a877a7176e6ULL,
+                   .image_digest = 0xd5d6d933bdbe502eULL},
         GoldenCase{.name = "vec32", .path = Path::kVectored, .group = 32,
-                   .digest = 0xfed8a29d352cb3f2ULL},
+                   .digest = 0xfed8a29d352cb3f2ULL,
+                   .image_digest = 0x555c00db2fcbd3faULL},
         GoldenCase{.name = "queued_q4d8", .path = Path::kQueued, .group = 8,
-                   .digest = 0x3fde156124d90c1aULL},
+                   .digest = 0x3fde156124d90c1aULL,
+                   .image_digest = 0x81df3b2de46a329bULL},
         GoldenCase{.name = "view", .path = Path::kView, .group = 7,
-                   .digest = 0x190e1794960d0fb1ULL},
+                   .digest = 0x190e1794960d0fb1ULL,
+                   .image_digest = 0x57ece9d2c80ee89fULL},
         GoldenCase{.name = "read_fail_scalar", .path = Path::kScalar, .group = 1,
-                   .read_fail_ppm = 200000, .digest = 0xbe08eddfb686a491ULL},
+                   .read_fail_ppm = 200000, .digest = 0xbe08eddfb686a491ULL,
+                   .image_digest = 0x7b4649928d3df19aULL},
         // The three vectored configs that read under faults were re-recorded when
         // vectored reads moved onto the scalar read rule: one retry budget per page
         // and no second sense of a corrupt page (CHANGES.md lists the deltas).
         GoldenCase{.name = "read_fail_vec7", .path = Path::kVectored, .group = 7,
-                   .read_fail_ppm = 200000, .digest = 0x2ce4a2106c9ad745ULL},
+                   .read_fail_ppm = 200000, .digest = 0x2ce4a2106c9ad745ULL,
+                   .image_digest = 0x12592fb925fbf35fULL},
         GoldenCase{.name = "corrupt_scalar", .path = Path::kScalar, .group = 1,
-                   .corrupt_ppm = 20000, .digest = 0xb74f5e244f8f9c47ULL},
+                   .corrupt_ppm = 20000, .digest = 0xb74f5e244f8f9c47ULL,
+                   .image_digest = 0x319c054f973030abULL},
         GoldenCase{.name = "corrupt_vec7", .path = Path::kVectored, .group = 7,
-                   .corrupt_ppm = 20000, .digest = 0xc5b41987e5091f0eULL},
+                   .corrupt_ppm = 20000, .digest = 0xc5b41987e5091f0eULL,
+                   .image_digest = 0xd536bc826d85a1acULL},
         GoldenCase{.name = "corrupt_parity7_scalar", .path = Path::kScalar, .group = 1,
                    .corrupt_ppm = 20000, .parity_stripe = 7,
-                   .digest = 0x9599f8a8c45d4591ULL},
+                   .digest = 0x9599f8a8c45d4591ULL,
+                   .image_digest = 0xc5944a78fa34faf5ULL},
         GoldenCase{.name = "corrupt_parity7_vec7", .path = Path::kVectored, .group = 7,
                    .corrupt_ppm = 20000, .parity_stripe = 7,
-                   .digest = 0x0f6ffa4e9586101eULL},
+                   .digest = 0x0f6ffa4e9586101eULL,
+                   .image_digest = 0xc17ff9a114053344ULL},
         GoldenCase{.name = "program_fail_scalar", .path = Path::kScalar, .group = 1,
-                   .program_fail_ppm = 2000, .digest = 0x92647ecda87d4c2ULL},
+                   .program_fail_ppm = 2000, .digest = 0x92647ecda87d4c2ULL,
+                   .image_digest = 0x86209e35d7fe5072ULL},
         GoldenCase{.name = "program_fail_vec7", .path = Path::kVectored, .group = 7,
-                   .program_fail_ppm = 2000, .digest = 0x117d909fbcc10f15ULL},
+                   .program_fail_ppm = 2000, .digest = 0x117d909fbcc10f15ULL,
+                   .image_digest = 0xab2506d764d2ec80ULL},
         GoldenCase{.name = "degraded_scalar", .path = Path::kScalar, .group = 1,
-                   .degraded_free_floor = 4, .digest = 0x2358f5d305d512dcULL},
+                   .degraded_free_floor = 4, .digest = 0x2358f5d305d512dcULL,
+                   .image_digest = 0xc1fe78c19028ed4bULL},
         GoldenCase{.name = "degraded_vec7", .path = Path::kVectored, .group = 7,
-                   .degraded_free_floor = 4, .digest = 0xdb18da9b11cbe8b8ULL},
+                   .degraded_free_floor = 4, .digest = 0xdb18da9b11cbe8b8ULL,
+                   .image_digest = 0x970a088cbdf14d49ULL},
         GoldenCase{.name = "crash_scalar", .path = Path::kScalar, .group = 1,
-                   .crash_after_op = 2000, .digest = 0x87355cce5d14cd0dULL},
+                   .crash_after_op = 2000, .digest = 0x87355cce5d14cd0dULL,
+                   .image_digest = 0xb1009d5eea99e8c1ULL},
         GoldenCase{.name = "crash_vec7", .path = Path::kVectored, .group = 7,
-                   .crash_after_op = 2000, .digest = 0xe230492122871532ULL},
+                   .crash_after_op = 2000, .digest = 0xe230492122871532ULL,
+                   .image_digest = 0x87a272583e64dfa5ULL},
         GoldenCase{.name = "clean_reopen_scalar", .path = Path::kScalar, .group = 1,
-                   .clean_reopen = true, .digest = 0xc26f737b63226ff8ULL},
+                   .clean_reopen = true, .digest = 0xc26f737b63226ff8ULL,
+                   .image_digest = 0x6f3b66684b31957aULL},
         GoldenCase{.name = "clean_reopen_vec7", .path = Path::kVectored, .group = 7,
-                   .clean_reopen = true, .digest = 0x114a73f49cbff335ULL}),
+                   .clean_reopen = true, .digest = 0x114a73f49cbff335ULL,
+                   .image_digest = 0xd2b8cfb6e45ae8e5ULL},
+        // Header-only storage moves no timing, stat or map entry, so this digest is
+        // vec7's; only the image tells the two apart.
+        GoldenCase{.name = "header_only_vec7", .path = Path::kVectored, .group = 7,
+                   .store_data = false, .digest = 0x743a9a877a7176e6ULL,
+                   .image_digest = 0xdb1f886400478bdcULL},
+        GoldenCase{.name = "copyback_faults_vec7", .path = Path::kVectored, .group = 7,
+                   .corrupt_ppm = 20000, .program_fail_ppm = 2000, .gc_copyback = true,
+                   .digest = 0x00c4a988b56831d5ULL,
+                   .image_digest = 0x67c27f3ec9171f2cULL},
+        // Two-second idle gaps age pages past the patrol's age trigger and into the
+        // retention model. Read disturb stays off: no segment of this device absorbs
+        // the 1,000 reads since erase that its rate needs before it applies.
+        GoldenCase{.name = "patrol_wear_scalar", .path = Path::kScalar, .group = 1,
+                   .patrol = true, .retention_ppm = 5000,
+                   .idle_ms = 2000, .digest = 0x0f209e6ebde3e1c1ULL,
+                   .image_digest = 0x02f092b80e04ed98ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& golden) {
       return std::string(golden.param.name);
     });

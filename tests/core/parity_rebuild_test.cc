@@ -71,6 +71,31 @@ std::pair<uint64_t, uint64_t> VictimInClosedSegment(Ftl* ftl, uint64_t stripe) {
   return {0, 0};
 }
 
+// Programs a CRC-valid kParity-typed page whose payload is longer than a page into the
+// next slot of `segment`. The device and the image loader accept a parity payload of
+// up to a page plus the member-image prefix, but no member image can hold it.
+Status ProgramOversizeParityPage(NandDevice* device, uint64_t segment) {
+  const uint64_t page_size = device->config().page_size_bytes;
+  const std::vector<uint8_t> payload(page_size + 8, 0x5a);
+  PageHeader header;
+  header.type = RecordType::kParity;
+  header.payload_len = static_cast<uint32_t>(payload.size());
+  return device->ProgramPage(segment, header, payload, 0, nullptr).status();
+}
+
+// Programs a parity page for the stripe starting at `first_member` that passes every
+// shape check the rebuild paths make (type, member count, image size).
+Status ProgramWellFormedParityPage(NandDevice* device, uint64_t segment,
+                                   uint64_t first_member) {
+  const std::vector<uint8_t> image(ParityImageSize(device->config().page_size_bytes), 0);
+  PageHeader header;
+  header.type = RecordType::kParity;
+  header.lba = first_member;
+  header.trim_count = kStripe;
+  header.payload_len = static_cast<uint32_t>(image.size());
+  return device->ProgramPage(segment, header, image, 0, nullptr).status();
+}
+
 TEST(ParityGeometryTest, SlotClassification) {
   // stripe 4, 16 pages: regular parity at 4, 9, 14; the final page is always parity.
   for (uint64_t i = 0; i < 16; ++i) {
@@ -119,9 +144,9 @@ TEST(ParityGeometryTest, MemberImageXorRoundTrip) {
 
   // XOR both members in, then peel one back out: linearity leaves exactly the other.
   std::vector<uint8_t> image(ParityImageSize(kPage), 0);
-  XorMemberImage(image, a, pa, kPage);
-  XorMemberImage(image, b, pb, kPage);
-  XorMemberImage(image, a, pa, kPage);
+  ASSERT_OK(XorMemberImage(image, a, pa, kPage));
+  ASSERT_OK(XorMemberImage(image, b, pb, kPage));
+  ASSERT_OK(XorMemberImage(image, a, pa, kPage));
   ASSERT_OK_AND_ASSIGN(DecodedMember decoded, DecodeMemberImage(image, kPage));
   EXPECT_EQ(decoded.header.type, RecordType::kData);
   EXPECT_EQ(decoded.header.lba, 9u);
@@ -319,6 +344,89 @@ TEST(ParityRebuildTest, AccumulatorSurvivesCrashReopen) {
   ASSERT_TRUE(h.CheckLba(kPrimaryView, 0, 1));
   EXPECT_EQ(h.ftl().stats().pages_rebuilt, 1u);
   EXPECT_EQ(h.ftl().stats().pages_rebuild_failed, 0u);
+}
+
+TEST(ParityRebuildTest, OversizeMemberIsNotRebuildable) {
+  // A stripe member whose stored payload is longer than a page cannot be XORed into
+  // a stripe image. Each path that reads members from media treats it as unreadable.
+
+  // fsck: slot 0 is the oversize page, slots 1-2 hold data, slot 3 the stripe's
+  // parity. Corrupt slot 1 is lost, not rebuildable, with the stripe given or inferred.
+  {
+    NandConfig nand;
+    nand.page_size_bytes = 512;
+    nand.pages_per_segment = 16;
+    nand.num_segments = 2;
+    nand.num_channels = 2;
+    NandDevice device(nand);
+    ASSERT_OK(ProgramOversizeParityPage(&device, 0));
+    for (uint64_t lba = 1; lba <= 2; ++lba) {
+      PageHeader header;
+      header.type = RecordType::kData;
+      header.lba = lba;
+      header.seq = lba;
+      const std::vector<uint8_t> data = PageData(nand.page_size_bytes, lba, 1);
+      ASSERT_OK(device.ProgramPage(0, header, data, 0, nullptr).status());
+    }
+    ASSERT_OK(ProgramWellFormedParityPage(&device, 0, 0));
+    device.CorruptPageForTesting(1);
+    for (const uint64_t stripe : {kStripe, uint64_t{0}}) {
+      ASSERT_OK_AND_ASSIGN(FsckReport report, FsckDevice(&device, stripe));
+      EXPECT_EQ(report.parity_stripe, kStripe);
+      EXPECT_EQ(report.crc_failures, 1u);
+      EXPECT_EQ(report.lost_data_pages, 1u) << FormatFsckReport(report);
+      EXPECT_EQ(report.rebuilt_data_pages, 0u);
+    }
+  }
+
+  // Reopen: the oversize page lands in the open segment's partial stripe (slot 4), so
+  // the re-accumulated parity is poisoned and the stripe's parity page covers nothing.
+  {
+    FtlHarness h(ParityConfig());
+    for (uint64_t lba = 0; lba < kStripe; ++lba) {
+      ASSERT_OK(h.Write(lba, 1));
+    }
+    const uint64_t segment = h.ftl().device().SegmentOf(PaddrOf(&h.ftl(), 0));
+    std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
+    ASSERT_EQ(device->NextFreePage(segment), kStripe + 1);
+    ASSERT_OK(ProgramOversizeParityPage(device.get(), segment));
+    ASSERT_OK(h.Reopen(std::move(device)));
+    for (uint64_t lba = kStripe; lba < 2 * kStripe; ++lba) {
+      ASSERT_OK(h.Write(lba, 1));
+    }
+    const uint64_t parity_paddr = h.ftl().device().FirstPageOf(segment) + 2 * kStripe + 1;
+    ASSERT_TRUE(h.ftl().device().IsProgrammed(parity_paddr));
+    const PageHeader& parity = h.ftl().device().PeekHeader(parity_paddr);
+    EXPECT_EQ(parity.type, RecordType::kParity);
+    EXPECT_EQ(parity.trim_count, 0u);
+  }
+
+  // Online read: the stripe holds the victim (slot 4), the oversize page (slot 5), a
+  // pad (slot 6) and a well-formed parity page (slot 7). Reading the corrupt victim
+  // fails as a typed loss.
+  {
+    FtlHarness h(ParityConfig());
+    for (uint64_t lba = 0; lba <= kStripe; ++lba) {
+      ASSERT_OK(h.Write(lba, 1));
+    }
+    const uint64_t victim = PaddrOf(&h.ftl(), kStripe);
+    const uint64_t segment = h.ftl().device().SegmentOf(victim);
+    ASSERT_EQ(victim - h.ftl().device().FirstPageOf(segment), kStripe + 1);
+    std::unique_ptr<NandDevice> device = h.ftl().ReleaseDevice();
+    ASSERT_OK(ProgramOversizeParityPage(device.get(), segment));
+    PageHeader pad;
+    pad.type = RecordType::kPad;
+    ASSERT_OK(device->ProgramPage(segment, pad, {}, 0, nullptr).status());
+    ASSERT_OK(ProgramWellFormedParityPage(device.get(), segment, victim));
+    ASSERT_OK(h.Reopen(std::move(device)));
+    h.ftl().MutableDeviceForTesting().CorruptPageForTesting(victim);
+    std::vector<uint8_t> data;
+    auto read = h.ftl().Read(kStripe, h.now(), &data);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(h.ftl().stats().pages_rebuilt, 0u);
+    EXPECT_EQ(h.ftl().stats().pages_rebuild_failed, 1u);
+  }
 }
 
 TEST(ParityRebuildTest, ParityOffWritesNoParityAndOnIsHostTransparent) {

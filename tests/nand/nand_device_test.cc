@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/nand/parity.h"
 #include "tests/test_util.h"
 
 namespace iosnap {
@@ -106,6 +107,55 @@ TEST(NandDeviceTest, EraseFreesPages) {
   EXPECT_FALSE(dev.IsProgrammed(paddr));
   EXPECT_EQ(dev.NextFreePage(0), 0u);
   EXPECT_EQ(dev.EraseCount(0), 2u);
+}
+
+// ProgrammedPages is a popcount over the programmed bitset. Segments of 100 pages start
+// and end mid-word, a failed program leaves a hole below next_page, and an erase must
+// clear exactly its own segment's bits.
+TEST(NandDeviceTest, ProgrammedPagesCountsHolesAndErases) {
+  NandConfig config = TestNand();
+  config.pages_per_segment = 100;
+  config.num_segments = 3;
+  config.fault.program_fail_ppm = 50000;
+  NandDevice dev(config);
+  const auto expect_counts_match = [&dev, &config](const char* when) {
+    for (uint64_t s = 0; s < config.num_segments; ++s) {
+      uint64_t count = 0;
+      for (uint64_t i = 0; i < config.pages_per_segment; ++i) {
+        count += dev.IsProgrammed(dev.FirstPageOf(s) + i) ? 1 : 0;
+      }
+      EXPECT_EQ(dev.ProgrammedPages(s), count) << when << ", segment " << s;
+    }
+  };
+  PageHeader header;
+  header.type = RecordType::kData;
+  const auto program = [&](uint64_t segment, uint64_t pages) {
+    for (uint64_t i = 0; i < pages; ++i) {
+      ASSERT_OK(dev.ProgramPage(segment, header, {}, 0, nullptr).status());
+    }
+  };
+
+  // Segment 1 takes programs until one fails, which retires it with a hole.
+  while (dev.ProgramPage(1, header, {}, 0, nullptr).ok()) {
+  }
+  ASSERT_TRUE(dev.IsBadSegment(1));
+  const uint64_t hole = dev.NextFreePage(1) - 1;
+  ASSERT_GT(hole, 0u);
+  EXPECT_FALSE(dev.IsProgrammed(dev.FirstPageOf(1) + hole));
+  EXPECT_EQ(dev.ProgrammedPages(1), hole);
+  dev.ClearFaults();
+  program(0, 70);
+  program(2, config.pages_per_segment);
+  expect_counts_match("after programs");
+
+  ASSERT_OK(dev.EraseSegment(2, 0).status());
+  EXPECT_EQ(dev.ProgrammedPages(2), 0u);
+  program(2, 37);
+  ASSERT_OK(dev.EraseSegment(0, 0).status());
+  EXPECT_EQ(dev.ProgrammedPages(0), 0u);
+  expect_counts_match("after erases");
+  EXPECT_EQ(dev.ProgrammedPages(1), hole);
+  EXPECT_EQ(dev.ProgrammedPages(2), 37u);
 }
 
 TEST(NandDeviceTest, ReadOfFreePageFails) {
@@ -844,8 +894,9 @@ TEST(NandFaultTest, ZeroRatesLeaveTimingAndStateUntouched) {
 }
 
 // Image geometry is untrusted: a count the image bytes cannot back, a page count above
-// the 2^24 cap, or an absurd channel/bus count ends in kDataLoss before the device is
-// built from it, instead of aborting inside the NandDevice constructor.
+// the 2^24 cap, an absurd channel/bus count, or a page size at which a segment could
+// hold 4 GiB of payload ends in kDataLoss before the device is built from it, instead
+// of aborting inside the NandDevice constructor.
 TEST(NandImageTest, HostileGeometryIsDataLoss) {
   NandDevice dev(TestNand());
   PageHeader header;
@@ -856,8 +907,8 @@ TEST(NandImageTest, HostileGeometryIsDataLoss) {
   dev.SerializeTo(&image);
   ASSERT_OK(NandDevice::Deserialize(image).status());
 
-  // Image header offsets: pages_per_segment u64 @20, num_segments u64 @28,
-  // num_channels u32 @36, buses u32 @72.
+  // Image header offsets: page_size_bytes u64 @12, pages_per_segment u64 @20,
+  // num_segments u64 @28, num_channels u32 @36, buses u32 @72.
   const auto load_with = [&](size_t offset, uint64_t value, size_t width) {
     std::vector<uint8_t> bytes = image;
     for (size_t i = 0; i < width; ++i) {
@@ -880,6 +931,12 @@ TEST(NandImageTest, HostileGeometryIsDataLoss) {
   EXPECT_EQ(load_with(20, (uint64_t{1} << 22) + 1, 8).code(), StatusCode::kDataLoss);
   EXPECT_EQ(load_with(36, 0xffffffffu, 4).code(), StatusCode::kDataLoss);
   EXPECT_EQ(load_with(72, 0xffffffffu, 4).code(), StatusCode::kDataLoss);
+  // A segment's payload arena takes 32-bit offsets: 8 slots of the largest parity
+  // payload (page + 41 bytes) must stay below 2^32 bytes.
+  const uint64_t largest_page = (uint64_t{0xffffffff} / 8) - kParityImagePrefixBytes;
+  EXPECT_OK(load_with(12, largest_page, 8));
+  EXPECT_EQ(load_with(12, largest_page + 1, 8).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load_with(12, uint64_t{1} << 40, 8).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,13 @@ class Digest {
       uint64_t w = 0;
       std::memcpy(&w, reinterpret_cast<const char*>(&s) + i, sizeof(w));
       Add(w);
+    }
+  }
+  // A byte string: its length, then each byte.
+  void AddBytes(std::span<const uint8_t> bytes) {
+    Add(bytes.size());
+    for (const uint8_t b : bytes) {
+      h_ = (h_ ^ b) * 0x100000001b3ULL;
     }
   }
   uint64_t value() const { return h_; }
