@@ -10,7 +10,9 @@
 // digest covers the NAND image saved at the end of the run, and that image must load
 // back into a device that saves the same bytes. Three configs vary the device or the
 // background instead of the submission style: header-only storage, copyback GC under
-// program faults and corruption, and patrol with idle gaps and retention wear.
+// program faults and corruption, and patrol with idle gaps and retention wear. Three
+// more vary the snapshot lifecycle: a rate-limited activation that inline cleaning
+// races, a writable view that is deactivated, and a rollback.
 //
 // A digest changes only when its constant is edited, together with a CHANGES.md line
 // that says why.
@@ -27,6 +29,7 @@
 #include "src/common/rng.h"
 #include "src/core/ftl.h"
 #include "src/core/io_queue.h"
+#include "src/ftl/rate_limiter.h"
 #include "src/obs/trace.h"
 #include "tests/test_util.h"
 
@@ -57,6 +60,12 @@ struct GoldenCase {
   bool patrol = false;          // Patrol with its read-count and age refresh triggers.
   uint32_t retention_ppm = 0;   // Wear model: bit flips per second of page age.
   uint64_t idle_ms = 0;  // Idle gap after each phase, with the background pumped.
+  // After phase 2, a rate-limited activation of the first snapshot runs through phase 3.
+  // Background cleaning waits for it, so inline cleaning races its scan and its map is
+  // built with the cleaner's relocation journal.
+  bool race_activation = false;
+  bool deactivate_view = false;  // kView: deactivate after phase 2; phase 3 uses the primary.
+  bool rollback = false;         // Roll the primary back to the first snapshot after phase 2.
   uint64_t digest = 0;
   // The saved NAND image at the end of the run: every stored header, CRC, payload,
   // program time and failed-program hole.
@@ -139,6 +148,7 @@ class GoldenRun {
         for (size_t i = 0; i < phases[p].size(); i += case_.group) {
           const size_t n = std::min<size_t>(case_.group, phases[p].size() - i);
           RunGroup(&phases[p][i], n);
+          FoldRaceView();
           if (ftl_->device().fault().crashed()) {
             auto reopened = Reopen();
             if (!reopened) {
@@ -157,6 +167,14 @@ class GoldenRun {
         FoldIo(snap->io);
         snaps.push_back(snap->snap_id);
       }
+      if (p == 2 && case_.race_activation) {
+        auto view = ftl_->BeginActivation(snaps[0], RateLimit::Of(20, 1), now_);
+        Fold(view.status());
+        if (!view.ok()) {
+          return ::testing::AssertionFailure() << view.status().ToString();
+        }
+        race_view_ = *view;
+      }
       if (p == 1 && case_.path == Path::kView) {
         uint64_t finish = now_;
         auto view = ftl_->ActivateBlocking(snaps[0], now_, /*writable=*/true, &finish);
@@ -167,6 +185,19 @@ class GoldenRun {
         digest_.Add(finish);
         now_ = std::max(now_, finish);
       }
+      if (p == 2 && case_.deactivate_view) {
+        Fold(ftl_->Deactivate(view_, now_));
+        view_ = kPrimaryView;
+      }
+      if (p == 2 && case_.rollback) {
+        auto finish = ftl_->RollbackToSnapshot(snaps[0], now_);
+        Fold(finish.status());
+        if (!finish.ok()) {
+          return ::testing::AssertionFailure() << finish.status().ToString();
+        }
+        digest_.Add(*finish);
+        now_ = std::max(now_, *finish);
+      }
       if (p == 2 && case_.clean_reopen) {
         auto reopened = Reopen();
         if (!reopened) {
@@ -174,7 +205,27 @@ class GoldenRun {
         }
       }
     }
+    if (race_view_ != kPrimaryView && !race_folded_) {
+      return ::testing::AssertionFailure() << "the raced activation never finished";
+    }
     return ::testing::AssertionSuccess();
+  }
+
+  // Journal moves the raced activation's map was built with: the cleaner's data-page
+  // copies recorded between its begin and end events.
+  uint64_t RaceRelocations() const {
+    uint64_t moves = 0;
+    bool in_flight = false;
+    for (const TraceEvent& e : trace_.Events()) {
+      if (e.type == TraceEventType::kActivateBegin && e.arg1 == race_view_) {
+        in_flight = true;
+      } else if (e.type == TraceEventType::kActivateEnd && e.arg0 == race_view_) {
+        in_flight = false;
+      } else if (e.type == TraceEventType::kGcCopyForward && in_flight) {
+        ++moves;
+      }
+    }
+    return moves;
   }
 
   // Folds the end state into the digest and returns it.
@@ -400,6 +451,21 @@ class GoldenRun {
     return ::testing::AssertionSuccess();
   }
 
+  // Folds the raced activation's built map once it is ready.
+  void FoldRaceView() {
+    if (race_view_ == kPrimaryView || race_folded_ || !ftl_->ActivationDone(race_view_)) {
+      return;
+    }
+    race_folded_ = true;
+    auto map = ftl_->ViewMapEntries(race_view_);
+    IOSNAP_CHECK(map.ok());
+    digest_.Add(map->size());
+    for (const auto& [lba, paddr] : *map) {
+      digest_.Add(lba);
+      digest_.Add(paddr);
+    }
+  }
+
   const GoldenCase case_;
   FtlConfig config_;
   TraceRecorder trace_{1 << 15};  // Three times the busiest config's event count.
@@ -407,6 +473,8 @@ class GoldenRun {
   Digest digest_;
   uint64_t now_ = 0;
   uint32_t view_ = kPrimaryView;
+  uint32_t race_view_ = kPrimaryView;  // kPrimaryView: no raced activation.
+  bool race_folded_ = false;
   uint64_t groups_run_ = 0;
   uint64_t gc_before_reopen_ = 0;
   int reopens_ = 0;
@@ -455,6 +523,15 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
   }
   if (c.retention_ppm > 0) {
     EXPECT_GT(nand.retention_corruptions, 0u);
+  }
+  if (c.race_activation) {
+    EXPECT_GT(run.RaceRelocations(), 0u) << "the journal was empty at the map build";
+  }
+  if (c.deactivate_view) {
+    EXPECT_EQ(run.ftl().stats().deactivations, 1u);
+  }
+  if (c.rollback) {
+    EXPECT_GT(run.ftl().stats().rollbacks, 0u);
   }
   EXPECT_EQ(digest, c.digest) << c.name << ": actual digest 0x" << std::hex << digest;
 
@@ -554,7 +631,16 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{.name = "patrol_wear_scalar", .path = Path::kScalar, .group = 1,
                    .patrol = true, .retention_ppm = 5000,
                    .idle_ms = 2000, .digest = 0x0f209e6ebde3e1c1ULL,
-                   .image_digest = 0x02f092b80e04ed98ULL}),
+                   .image_digest = 0x02f092b80e04ed98ULL},
+        GoldenCase{.name = "race_activation_vec7", .path = Path::kVectored, .group = 7,
+                   .race_activation = true, .digest = 0x4ac2037e9450c0c9ULL,
+                   .image_digest = 0xccac7ca137bd7e59ULL},
+        GoldenCase{.name = "view_deactivate", .path = Path::kView, .group = 7,
+                   .deactivate_view = true, .digest = 0x578982c8149afb4bULL,
+                   .image_digest = 0x4507e74da244bd41ULL},
+        GoldenCase{.name = "rollback_vec7", .path = Path::kVectored, .group = 7,
+                   .rollback = true, .digest = 0x626f92ddbeff7eddULL,
+                   .image_digest = 0xecc80c742cf22c74ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& golden) {
       return std::string(golden.param.name);
     });
