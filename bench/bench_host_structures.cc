@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -260,6 +261,39 @@ void BM_ValidityApplyBatch(benchmark::State& state) {
                           static_cast<int64_t>(2 * batch));
 }
 BENCHMARK(BM_ValidityApplyBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(256);
+
+// The cleaner's copy-forward fix-up with `range(0)` live epochs: a chain of forks that
+// each diverge a little, and one page valid in all of them moved back and forth.
+// MoveBit probes every listed epoch, so this is linear in the live epochs.
+void BM_ValidityMoveBit(benchmark::State& state) {
+  const auto epochs = static_cast<uint32_t>(state.range(0));
+  ValidityMap vm(1 << 20, 8192);
+  vm.CreateEpoch(0);
+  Rng rng(7);
+  for (int i = 0; i < (1 << 16); ++i) {
+    vm.SetValid(0, rng.NextBelow(1 << 20));
+  }
+  uint64_t from = 12345;
+  uint64_t to = (1 << 19) + 6789;
+  vm.SetValid(0, from);
+  vm.ClearValid(0, to);
+  std::vector<uint32_t> all = {0};
+  for (uint32_t e = 1; e < epochs; ++e) {
+    vm.ForkEpoch(e, e - 1);
+    for (int i = 0; i < 64; ++i) {
+      const uint64_t p = rng.NextBelow(1 << 20);
+      if (p != from && p != to) {
+        vm.SetValid(e, p);
+      }
+    }
+    all.push_back(e);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vm.MoveBit(all, from, to));
+    std::swap(from, to);
+  }
+}
+BENCHMARK(BM_ValidityMoveBit)->Arg(4)->Arg(64)->Arg(256);
 
 void BM_ValidityCowFork(benchmark::State& state) {
   for (auto _ : state) {

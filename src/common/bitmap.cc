@@ -68,4 +68,13 @@ void Bitmap::OrWith(const Bitmap& other) {
   }
 }
 
+size_t Bitmap::CountAndNot(const Bitmap& other) const {
+  assert(num_bits_ == other.num_bits_);
+  size_t count = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    count += static_cast<size_t>(std::popcount(words_[i] & ~other.words_[i]));
+  }
+  return count;
+}
+
 }  // namespace iosnap

@@ -49,6 +49,9 @@ class Bitmap {
   // In-place bitwise OR with another bitmap of identical size.
   void OrWith(const Bitmap& other);
 
+  // Number of bits set here and clear in `other` (of identical size).
+  size_t CountAndNot(const Bitmap& other) const;
+
   bool operator==(const Bitmap& other) const {
     return num_bits_ == other.num_bits_ && words_ == other.words_;
   }

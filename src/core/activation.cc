@@ -1,7 +1,6 @@
 #include "src/core/activation.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/logging.h"
 #include "src/core/ftl.h"
@@ -80,17 +79,12 @@ uint64_t ActivationTask::BuildMap(uint64_t now_ns) {
   std::erase_if(entries_, [this](const std::pair<uint64_t, uint64_t>& e) {
     return !ftl_->validity_.Test(filter_epoch_, e.second);
   });
-  if (!ftl_->gc_relocations_.empty()) {
-    std::map<uint64_t, uint64_t> by_lba(entries_.begin(), entries_.end());
-    for (const auto& [lba, new_paddr] : ftl_->gc_relocations_) {
-      if (ftl_->validity_.Test(filter_epoch_, new_paddr)) {
-        by_lba[lba] = new_paddr;
-      }
-    }
-    entries_.assign(by_lba.begin(), by_lba.end());
-  }
-
+  // The scan collects in paddr order, so within each LBA the (lba, paddr) order is the
+  // scan order.
   std::sort(entries_.begin(), entries_.end());
+  if (!ftl_->gc_relocations_.empty()) {
+    ApplyRelocations();
+  }
   for (size_t i = 1; i < entries_.size(); ++i) {
     IOSNAP_CHECK(entries_[i].first != entries_[i - 1].first);
   }
@@ -104,6 +98,53 @@ uint64_t ActivationTask::BuildMap(uint64_t now_ns) {
   entries_.clear();
   entries_.shrink_to_fit();
   return now_ns + host_ns;
+}
+
+void ActivationTask::ApplyRelocations() {
+  using Entry = std::pair<uint64_t, uint64_t>;
+  const auto by_lba = [](const Entry& a, const Entry& b) { return a.first < b.first; };
+  const auto same_lba = [](const Entry& a, const Entry& b) { return a.first == b.first; };
+  // A page the cleaner moved away from a scanned address, whose segment was then reused
+  // for another page of the snapshot, leaves a stale entry that still passes the
+  // validity test: its LBA can appear twice. The first one scanned stands, and the
+  // journal, which holds every move made during the scan, overrides it below.
+  entries_.erase(std::unique(entries_.begin(), entries_.end(), same_lba), entries_.end());
+  // (lba, journal index) of every move whose new page is still the valid copy. Journal
+  // order is time order, so once sorted, each LBA's last move is the one that wins: the
+  // order a stable sort by LBA gives, without its temporary buffer. A collected LBA
+  // takes that move in place; the other LBAs' moves are packed to the front.
+  const std::vector<Entry>& journal = ftl_->gc_relocations_;
+  std::vector<std::pair<uint64_t, size_t>> moves;
+  for (size_t j = 0; j < journal.size(); ++j) {
+    if (ftl_->validity_.Test(filter_epoch_, journal[j].second)) {
+      moves.emplace_back(journal[j].first, j);
+    }
+  }
+  std::sort(moves.begin(), moves.end());
+  size_t extra = 0;
+  for (size_t i = 0; i < moves.size(); ++i) {
+    if (i + 1 < moves.size() && moves[i + 1].first == moves[i].first) {
+      continue;
+    }
+    const Entry& move = journal[moves[i].second];
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), move, by_lba);
+    if (it != entries_.end() && it->first == move.first) {
+      it->second = move.second;
+    } else {
+      moves[extra++] = moves[i];
+    }
+  }
+  // Merge the new LBAs in from the back, in place: the entries do not outnumber the
+  // snapshot's valid pages, which the constructor reserved room for.
+  size_t old_end = entries_.size();
+  entries_.resize(old_end + extra);
+  for (size_t out = entries_.size(); extra > 0;) {
+    if (old_end > 0 && entries_[old_end - 1].first > moves[extra - 1].first) {
+      entries_[--out] = entries_[--old_end];
+    } else {
+      entries_[--out] = journal[moves[--extra].second];
+    }
+  }
 }
 
 StatusOr<uint64_t> ActivationTask::Burst(uint64_t now_ns) {

@@ -56,6 +56,10 @@ class ActivationTask {
   // Sorts entries and bulk-loads the view's map; marks the view ready.
   uint64_t BuildMap(uint64_t now_ns);
 
+  // Applies the cleaner's relocation journal to the sorted entries: for every LBA, its
+  // last journaled move whose new page is still the snapshot's valid copy wins.
+  void ApplyRelocations();
+
   Ftl* ftl_;
   uint32_t view_id_;
   uint32_t filter_epoch_;

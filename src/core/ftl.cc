@@ -20,6 +20,18 @@ constexpr double kPacingSlack = 1.3;
 // epoch-colocating policy must first warm up its per-class heads.
 constexpr int kMaxInlineCleanRounds = 64;
 
+// A geometry the device or the validity map could not be built from is a config
+// error, not an abort in their constructors.
+Status CheckGeometry(const FtlConfig& config) {
+  if (Status geometry = NandDevice::ValidateGeometry(config.nand); !geometry.ok()) {
+    return InvalidArgument("ftl: " + geometry.message());
+  }
+  if (config.validity_chunk_bits == 0) {
+    return InvalidArgument("ftl: validity_chunk_bits is 0");
+  }
+  return OkStatus();
+}
+
 // Per-request issue times must cover the batch exactly and never go backwards —
 // the log is append-ordered, so an earlier-issued request cannot follow a later one.
 Status CheckIssueAt(size_t n, std::span<const uint64_t> issue_at) {
@@ -51,6 +63,7 @@ Ftl::Ftl(const FtlConfig& config, std::unique_ptr<NandDevice> device)
 Ftl::~Ftl() = default;
 
 StatusOr<std::unique_ptr<Ftl>> Ftl::Create(const FtlConfig& config) {
+  RETURN_IF_ERROR(CheckGeometry(config));
   if (config.LbaCount() == 0) {
     return InvalidArgument("ftl: overprovision leaves no LBA space");
   }
@@ -85,6 +98,7 @@ StatusOr<std::unique_ptr<Ftl>> Ftl::Open(const FtlConfig& config,
   if (device == nullptr) {
     return InvalidArgument("ftl: no device");
   }
+  RETURN_IF_ERROR(CheckGeometry(config));
   if (config.map_update_threads != 0) {
     return InvalidArgument("ftl: map_update_threads must be 0");
   }
@@ -763,20 +777,11 @@ StatusOr<Ftl::SnapshotSpace> Ftl::SnapshotSpaceReport(uint32_t snap_id) const {
   if (info.deleted) {
     return FailedPrecondition("snapshot " + std::to_string(snap_id) + " is deleted");
   }
-  std::vector<uint32_t> others;
-  for (uint32_t epoch : LiveEpochs()) {
-    if (epoch != info.epoch) {
-      others.push_back(epoch);
-    }
-  }
-  SnapshotSpace space;
-  validity_.ForEachValid(info.epoch, [&](uint64_t paddr) {
-    ++space.referenced_pages;
-    if (!validity_.TestAny(others, paddr)) {
-      ++space.exclusive_pages;
-    }
-  });
-  return space;
+  // The validity map's epochs are exactly the live ones, so "valid in no other
+  // registered epoch" is "valid in no other live epoch".
+  IOSNAP_CHECK(validity_.Epochs() == LiveEpochs());
+  const ValidityMap::EpochPages pages = validity_.CountEpochPages(info.epoch);
+  return SnapshotSpace{pages.referenced, pages.exclusive};
 }
 
 StatusOr<uint32_t> Ftl::BeginActivation(uint32_t snap_id, RateLimit limit, uint64_t issue_ns,

@@ -16,8 +16,19 @@
 // reference; otherwise the chunk is copied first. A uniquely-held chunk inherited from a
 // since-dropped epoch is safely adopted without copying.
 //
+// Layout. A device has few chunk indices (total_pages / chunk_bits: 32 for 1 GiB of 4 KiB
+// pages at the default 8192 bits), so every per-chunk structure is a dense vector
+// indexed by chunk and a bit flip costs array indexing only:
+//
+//   * Each epoch's table holds one chunk reference per chunk index (nullptr: the epoch
+//     has no chunk there and every bit is clear) and, beside it, its per-range counters.
+//     Epochs are found by id in a hash map, once per call (once per ApplyBatch).
+//   * The distinct-chunk registry has one entry per chunk index: a short flat list of
+//     (chunk object, number of epoch tables referencing it) pairs and the cached merge
+//     plane.
+//
 // Cleaner-side queries are O(1)-amortised via two cooperating structures maintained
-// incrementally by every mutation (see DESIGN.md "Utilization accounting"):
+// incrementally by every mutation (see DESIGN.md "Cleaner liveness in O(1)"):
 //
 //   * Per-range utilization counters. The device is divided into fixed page ranges
 //     (the FTL uses one range per NAND segment). For every range we keep the number of
@@ -28,13 +39,12 @@
 //     leave the merged view; rather than recomputing eagerly, the overlapping ranges are
 //     marked dirty and lazily recounted from the distinct-chunk registry on next read.
 //
-//   * A distinct-chunk registry + cached merge planes. For each chunk index the registry
-//     tracks the set of distinct chunk objects referenced by any epoch (with reference
-//     counts), so merged point queries cost O(distinct versions) — typically 1 — instead
-//     of O(epochs). On top of it, each index caches a "merge plane": the OR of all
-//     distinct chunks, kept up to date in place by bit flips and invalidated only when a
-//     chunk object leaves the registry with live bits (epoch drop). MergedTest — the
-//     cleaner's per-page liveness test — is a cached-plane bit test.
+//   * The distinct-chunk registry + cached merge planes. Merged point queries cost
+//     O(distinct versions) — typically 1 — instead of O(epochs). On top of it, each index
+//     caches a "merge plane": the OR of all distinct chunks, kept up to date in place by
+//     bit flips and invalidated only when a chunk object leaves the registry with live
+//     bits (epoch drop). MergedTest — the cleaner's per-page liveness test — is a
+//     cached-plane bit test.
 //
 // Counters and registry are exact at all times; VerifyCounters() cross-checks them
 // against a from-scratch recount (used by tests and debug builds).
@@ -43,10 +53,10 @@
 #define SRC_FTL_VALIDITY_MAP_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/bitmap.h"
@@ -113,21 +123,31 @@ class ValidityMap {
     uint64_t cow_bytes = 0;  // Out.
   };
 
-  // Applies the ops exactly as if SetValid/ClearValid were called one by one in
-  // submission order, but groups them by chunk so each CoW chunk (and its registry
-  // entry) is resolved once per batch instead of once per bit. Ops on different chunks
-  // commute, and within a chunk submission order is preserved, so counters, planes,
-  // stats, and per-op CoW attribution are bit-identical to the sequential calls.
+  // Applies the ops in submission order, exactly as SetValid/ClearValid called one by
+  // one would (counters, planes, stats, per-op CoW charges and CoW trace events), but
+  // looks the epoch up once for the whole batch.
   void ApplyBatch(uint32_t epoch, std::span<BitOp> ops);
 
-  // Marks a batch of paddrs valid in `epoch` via ApplyBatch (the recovery replay path).
-  // Returns total bytes CoW-copied.
+  // Marks a batch of paddrs valid in `epoch`, looking the epoch up once (the recovery
+  // replay path). Returns total bytes CoW-copied.
   uint64_t SetValidBatch(uint32_t epoch, std::span<const uint64_t> paddrs);
 
   bool Test(uint32_t epoch, uint64_t paddr) const;
 
   // True if the bit is set in any of the listed epochs (missing epochs are skipped).
   bool TestAny(const std::vector<uint32_t>& epochs, uint64_t paddr) const;
+
+  // Pages valid in `epoch`, and how many of them are valid in no other registered epoch.
+  struct EpochPages {
+    uint64_t referenced = 0;
+    uint64_t exclusive = 0;
+  };
+
+  // Counted per chunk index from the registry, a popcount per word instead of a
+  // per-page probe of every other epoch: a chunk object another epoch also references
+  // holds no exclusive page; otherwise the exclusive pages are its bits outside the OR
+  // of the index's other distinct chunks. O(distinct chunks), not O(pages x epochs).
+  EpochPages CountEpochPages(uint32_t epoch) const;
 
   // True if the bit is set in *any registered epoch* (the merged live view). Served from
   // the cached merge plane of the page's chunk — the segment cleaner's per-page liveness
@@ -177,20 +197,27 @@ class ValidityMap {
   // events recorded during the mutation carry this stamp.
   void NoteTimeNs(uint64_t now_ns) { trace_time_ns_ = now_ns; }
 
-  // Heap footprint of all distinct chunks plus per-epoch tables.
+  // Bitmap memory as an accounting model, not a heap measurement: the bytes of every
+  // distinct chunk plus a fixed overhead per chunk reference (the node of the per-epoch
+  // ordered map an earlier layout used). The model is kept so that ablations A2/A4 and
+  // the sim's "validity maps" line stay comparable across layouts; the dense tables'
+  // own 16 bytes per chunk index per epoch are not in it.
   size_t MemoryBytes() const;
 
   // Number of distinct chunk objects currently alive (shared chunks counted once).
   size_t DistinctChunkCount() const;
 
   // Enumerates the set bits of one epoch, visiting ascending paddrs (the chunk table
-  // iterates in index order). Templated so the hot caller (snapshot space accounting)
-  // pays a direct call, not std::function dispatch.
+  // iterates in index order). Templated so a caller pays a direct call, not
+  // std::function dispatch, per page.
   template <typename Fn>
   void ForEachValid(uint32_t epoch, Fn&& fn) const {
-    auto epoch_it = epochs_.find(epoch);
-    IOSNAP_CHECK(epoch_it != epochs_.end());
-    for (const auto& [index, chunk] : epoch_it->second) {
+    const std::vector<ChunkRef>& chunks = TableOf(epoch).chunks;
+    for (uint64_t index = 0; index < chunks.size(); ++index) {
+      const Chunk* chunk = chunks[index].get();
+      if (chunk == nullptr) {
+        continue;
+      }
       const uint64_t base = index * chunk_bits_;
       for (uint64_t bit = chunk->bits.FindFirstSet(0); bit < chunk->bits.size();
            bit = chunk->bits.FindFirstSet(bit + 1)) {
@@ -201,7 +228,7 @@ class ValidityMap {
 
   // Chunk-caching membership cursor over a single epoch: consecutive Test calls with
   // nearby addresses (activation's sequential segment scans) reuse the resolved chunk
-  // instead of re-walking the chunk table per page. The cursor caches a raw chunk
+  // instead of finding the epoch's table per page. The cursor caches a raw chunk
   // pointer, so it must not outlive any mutation of the map — create one per scan.
   class EpochReader {
    public:
@@ -222,37 +249,51 @@ class ValidityMap {
     Bitmap bits;
   };
   using ChunkRef = std::shared_ptr<Chunk>;
-  // chunk index -> chunk. std::map keeps deterministic iteration for serialization.
-  using ChunkTable = std::map<uint64_t, ChunkRef>;
 
-  // Per-chunk-index registry of distinct chunk objects (keyed by identity, valued by the
-  // number of epoch tables referencing each) plus the cached merge plane.
+  // One epoch's view: a chunk reference per chunk index (nullptr: absent, every bit
+  // clear) and its valid-page counter per range.
+  struct EpochTable {
+    std::vector<ChunkRef> chunks;
+    std::vector<uint64_t> counts;
+  };
+
+  // The distinct chunk objects referenced at one chunk index, each with the number of
+  // epoch tables referencing it (no entry: no epoch has a chunk here), plus the cached
+  // merge plane.
   struct RegistryEntry {
-    std::unordered_map<const Chunk*, uint32_t> refs;
+    std::vector<std::pair<const Chunk*, uint32_t>> refs;
     Bitmap plane;             // OR of all chunks in `refs` when plane_valid.
-    bool plane_valid = false;
+    bool plane_valid = false;  // Always false while `refs` is empty.
   };
 
   uint64_t ChunkIndex(uint64_t paddr) const { return paddr / chunk_bits_; }
   uint64_t BitInChunk(uint64_t paddr) const { return paddr % chunk_bits_; }
   uint64_t RangeOf(uint64_t paddr) const { return paddr / range_pages_; }
 
+  EpochTable& TableOf(uint32_t epoch);
+  const EpochTable& TableOf(uint32_t epoch) const;
+
+  // The counting bit flips behind SetValid/ClearValid/ApplyBatch/MoveBit. Return the
+  // bytes CoW-copied to perform the update.
+  uint64_t SetBit(uint32_t epoch, EpochTable* table, uint64_t paddr);
+  uint64_t ClearBit(uint32_t epoch, EpochTable* table, uint64_t paddr);
+
   // Returns a mutable chunk for (epoch, chunk_index), performing CoW or allocation as
   // needed. `create_if_absent` controls behaviour for missing chunks (Clear on a missing
   // chunk is a no-op). Adds copied bytes to *cow_bytes.
-  Chunk* MutableChunk(uint32_t epoch, uint64_t chunk_index, bool create_if_absent,
-                      uint64_t* cow_bytes);
+  Chunk* MutableChunk(uint32_t epoch, EpochTable* table, uint64_t chunk_index,
+                      bool create_if_absent, uint64_t* cow_bytes);
 
   // Registry bookkeeping: called for every epoch-table reference created or destroyed.
   void RegistryAddRef(uint64_t chunk_index, const Chunk* chunk);
   void RegistryDropRef(uint64_t chunk_index, const Chunk* chunk);
 
-  // True if any distinct chunk at `chunk_index` has `bit` set, scanning chunk objects
-  // (never the plane — used mid-mutation when the plane may be stale).
-  bool ScanChunksForBit(uint64_t chunk_index, uint64_t bit) const;
+  // True if any distinct chunk of `entry` has `bit` set, scanning chunk objects (never
+  // the plane — used mid-mutation when the plane may be stale).
+  static bool ScanChunksForBit(const RegistryEntry& entry, uint64_t bit);
 
   // Plane-accelerated variant for pre-mutation queries (plane is accurate if valid).
-  bool AnyChunkHasBit(uint64_t chunk_index, uint64_t bit) const;
+  static bool AnyChunkHasBit(const RegistryEntry& entry, uint64_t bit);
 
   // Recomputes entry's plane as the OR of its distinct chunks. Meters chunk visits.
   void RebuildPlane(RegistryEntry* entry) const;
@@ -269,20 +310,18 @@ class ValidityMap {
   uint64_t chunk_bits_;
   bool naive_full_copy_;
   uint64_t range_pages_;
-  std::unordered_map<uint32_t, ChunkTable> epochs_;
+  uint64_t num_chunks_;
+  std::unordered_map<uint32_t, EpochTable> epochs_;
   // Distinct-chunk registry + cached merge planes, by chunk index. Mutable: planes are
   // rebuilt lazily from const queries.
-  mutable std::unordered_map<uint64_t, RegistryEntry> registry_;
+  mutable std::vector<RegistryEntry> registry_;
   // Per-range merged-valid counters with lazy dirty repair (see header comment).
   mutable std::vector<uint64_t> merged_count_;
   mutable std::vector<uint8_t> range_dirty_;
-  // Per-epoch per-range valid counters (always exact).
-  std::unordered_map<uint32_t, std::vector<uint64_t>> epoch_count_;
   // Mutable: merge queries from const contexts still meter their chunk visits (Table 4).
   mutable ValidityStats stats_;
   TraceRecorder* trace_ = nullptr;
   uint64_t trace_time_ns_ = 0;
-  std::vector<uint32_t> batch_order_;  // ApplyBatch scratch.
 };
 
 }  // namespace iosnap

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
@@ -703,6 +705,35 @@ std::span<const uint8_t> NandDevice::PeekPageData(uint64_t paddr) const {
 uint64_t NandDevice::MaxPayloadBytes(RecordType type) const {
   return config_.page_size_bytes +
          (type == RecordType::kParity ? kParityImagePrefixBytes : 0);
+}
+
+Status NandDevice::ValidateGeometry(const NandConfig& config) {
+  // Unprogrammed pages take no image bytes, so the total page count needs a fixed cap:
+  // 2^24 pages (64 GiB of 4 KiB pages) is 16x the largest device the benches
+  // configure. Channel and bus counts size per-channel arrays.
+  constexpr uint64_t kMaxPages = uint64_t{1} << 24;
+  constexpr uint32_t kMaxChannels = 1 << 16;
+  const std::pair<const char*, uint64_t> dimensions[] = {
+      {"page_size_bytes", config.page_size_bytes},
+      {"pages_per_segment", config.pages_per_segment},
+      {"num_segments", config.num_segments},
+      {"num_channels", config.num_channels},
+      {"buses", config.buses}};
+  for (const auto& [name, value] : dimensions) {
+    if (value == 0) {
+      return InvalidArgument(std::string("degenerate geometry: ") + name + " is 0");
+    }
+  }
+  if (config.pages_per_segment > kMaxPages / config.num_segments) {
+    return InvalidArgument("page count exceeds " + std::to_string(kMaxPages));
+  }
+  if (config.num_channels > kMaxChannels || config.buses > kMaxChannels) {
+    return InvalidArgument("channel or bus count exceeds " + std::to_string(kMaxChannels));
+  }
+  if (!ArenaOffsetsFit(config)) {
+    return InvalidArgument("a segment could hold 4 GiB of payload");
+  }
+  return OkStatus();
 }
 
 bool NandDevice::ArenaOffsetsFit(const NandConfig& config) {

@@ -237,11 +237,16 @@ class NandDevice {
   // Rebuilds a device from SerializeTo() bytes. The loaded device has all fault
   // injection disarmed: images are inspected and repaired on a healthy host, and
   // latent damage is already baked into the stored bits. Untrusted bytes end in a
-  // Status: geometry larger than the image can hold, above 2^24 pages in total, or
-  // above 2^16 channels or buses, or segments whose payload could reach 4 GiB is
-  // kDataLoss before anything is allocated.
+  // Status: geometry that ValidateGeometry rejects or that is larger than the image
+  // can hold is kDataLoss before anything is allocated.
   static StatusOr<std::unique_ptr<NandDevice>> Deserialize(
       const std::vector<uint8_t>& bytes);
+
+  // The geometries a device can be built from: every dimension non-zero, at most 2^24
+  // pages in total and 2^16 channels or buses, and no segment whose payload could
+  // reach 4 GiB. Returns kInvalidArgument naming the first bound broken. Image loading,
+  // Ftl::Create and Ftl::Open check it before anything is sized from the geometry.
+  static Status ValidateGeometry(const NandConfig& config);
 
   // --- Background-op classification (latency attribution) ---
   //

@@ -15,14 +15,9 @@ namespace {
 constexpr uint64_t kImageMagic = 0x4d4950414e534f49ull;
 constexpr uint32_t kImageVersion = 1;
 
-// Geometry bounds, checked before the device is built from an image's geometry.
 // A segment record is at least its erased/bad flags and three u64 counters, so the
-// bytes left bound num_segments. Unprogrammed pages take no bytes, so the total page
-// count needs a fixed cap: 2^24 pages (64 GiB of 4 KiB pages) is 16x the largest
-// device the benches configure. Channel and bus counts size per-channel arrays.
+// bytes left bound num_segments before the device is built from an image's geometry.
 constexpr uint64_t kSegmentRecordBytes = 2 + 3 * sizeof(uint64_t);
-constexpr uint64_t kMaxImagePages = uint64_t{1} << 24;
-constexpr uint32_t kMaxImageChannels = 1 << 16;
 
 void PutHeader(std::vector<uint8_t>* out, const PageHeader& h) {
   PutU8(out, static_cast<uint8_t>(h.type));
@@ -124,22 +119,11 @@ StatusOr<std::unique_ptr<NandDevice>> NandDevice::Deserialize(
   RETURN_IF_ERROR(GetU64(bytes, &offset, &config.max_erase_count));
   RETURN_IF_ERROR(GetU8(bytes, &offset, &flag));
   config.store_data = flag != 0;
-  if (config.pages_per_segment == 0 || config.num_segments == 0 ||
-      config.num_channels == 0 || config.buses == 0) {
-    return DataLoss("nand-image: degenerate geometry");
+  if (Status geometry = ValidateGeometry(config); !geometry.ok()) {
+    return DataLoss("nand-image: " + geometry.message());
   }
   if (config.num_segments > (bytes.size() - offset) / kSegmentRecordBytes) {
     return DataLoss("nand-image: segment count exceeds image size");
-  }
-  if (config.pages_per_segment > kMaxImagePages / config.num_segments) {
-    return DataLoss("nand-image: page count exceeds " + std::to_string(kMaxImagePages));
-  }
-  if (config.num_channels > kMaxImageChannels || config.buses > kMaxImageChannels) {
-    return DataLoss("nand-image: channel or bus count exceeds " +
-                    std::to_string(kMaxImageChannels));
-  }
-  if (!ArenaOffsetsFit(config)) {
-    return DataLoss("nand-image: a segment could hold 4 GiB of payload");
   }
   // config.fault stays default (all rates zero): images load disarmed.
   auto device = std::make_unique<NandDevice>(config);

@@ -81,6 +81,20 @@ TEST(BitmapTest, OrWith) {
   EXPECT_EQ(a.CountOnes(), 3u);
 }
 
+TEST(BitmapTest, CountAndNot) {
+  Bitmap a(130);
+  Bitmap b(130);
+  a.Set(1);
+  a.Set(64);
+  a.Set(129);
+  b.Set(64);
+  b.Set(2);
+  EXPECT_EQ(a.CountAndNot(b), 2u);  // 1 and 129.
+  EXPECT_EQ(b.CountAndNot(a), 1u);  // 2.
+  EXPECT_EQ(a.CountAndNot(a), 0u);
+  EXPECT_EQ(a.CountAndNot(Bitmap(130)), 3u);
+}
+
 TEST(BitmapTest, ResetClearsEverything) {
   Bitmap bm(64);
   for (size_t i = 0; i < 64; i += 2) {

@@ -5,6 +5,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/ftl.h"
+#include "src/obs/trace.h"
 #include "tests/test_util.h"
 
 namespace iosnap {
@@ -139,39 +140,56 @@ TEST(ActivationTest, DeactivateDuringActivationCancelsCleanly) {
 }
 
 TEST(ActivationTest, ActivationSurvivesConcurrentEmergencyCleaning) {
-  // If emergency (inline) cleaning moves blocks mid-scan, the activation restarts its
-  // pass and still produces the correct map.
+  // Foreground writes during a slow activation force inline cleaning, which copies
+  // pages into segments the scan has already passed. Only the relocation journal finds
+  // those, so the built map must take them from it.
   FtlConfig config = SmallConfig();
   FtlHarness h(config);
+  TraceRecorder trace(1 << 16);
+  h.ftl().SetTraceRecorder(&trace);
   ReferenceModel model;
-  Rng rng(9);
+  Rng rng(11);
   uint64_t version = 0;
-  const uint64_t lba_space = 40;
-  for (uint64_t i = 0; i < 150; ++i) {
+  const uint64_t lba_space = 200;
+  auto write_one = [&] {
     const uint64_t lba = rng.NextBelow(lba_space);
     ++version;
     ASSERT_OK(h.Write(lba, version));
     model.Write(lba, version);
+  };
+  // Several device overwrites first, so erased low segments sit in the free pool.
+  for (uint64_t i = 0; i < config.nand.TotalPages() * 4; ++i) {
+    write_one();
   }
   ASSERT_OK_AND_ASSIGN(uint32_t snap, h.Snapshot("s"));
   model.Snapshot(snap);
+  trace.Clear();
 
-  // Slow activation, pumped while heavy foreground churn forces inline cleaning.
   ASSERT_OK_AND_ASSIGN(uint32_t view,
-                       h.ftl().BeginActivation(snap, RateLimit::Of(20, 1), h.now()));
-  for (uint64_t i = 0; i < config.nand.TotalPages() * 2 || !h.ftl().ActivationDone(view);
-       ++i) {
-    const uint64_t lba = rng.NextBelow(lba_space);
-    ++version;
-    ASSERT_OK(h.Write(lba, version));
-    model.Write(lba, version);
+                       h.ftl().BeginActivation(snap, RateLimit::Of(20, 10), h.now()));
+  for (uint64_t i = 0; !h.ftl().ActivationDone(view); ++i) {
+    ASSERT_LT(i, config.nand.TotalPages() * 16) << "activation never finished";
+    write_one();
     h.ftl().PumpBackground(h.now());
-    if (i > config.nand.TotalPages() * 16) {
-      break;  // Safety valve.
+  }
+  EXPECT_TRUE(h.CheckView(view, model.snapshot_state(snap), lba_space));
+
+  // Copies the cleaner made into already-scanned segments that the map now points at.
+  ASSERT_OK_AND_ASSIGN(auto entries, h.ftl().ViewMapEntries(view));
+  const std::map<uint64_t, uint64_t> map(entries.begin(), entries.end());
+  uint64_t scanned = 0;
+  uint64_t behind_scan = 0;
+  for (const TraceEvent& e : trace.Events()) {
+    if (e.type == TraceEventType::kActivationBurst && e.arg0 == view) {
+      scanned = e.arg1 + e.arg2;
+    } else if (e.type == TraceEventType::kGcCopyForward &&
+               e.arg2 / config.nand.pages_per_segment < scanned) {
+      auto it = map.find(e.arg0);
+      behind_scan += it != map.end() && it->second == e.arg2;
     }
   }
-  ASSERT_TRUE(h.ftl().ActivationDone(view));
-  EXPECT_TRUE(h.CheckView(view, model.snapshot_state(snap), lba_space));
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_GT(behind_scan, 0u);
 }
 
 }  // namespace

@@ -57,6 +57,37 @@ TEST(FtlBasicTest, MapUpdateThreadsMustBeZero) {
             StatusCode::kInvalidArgument);
 }
 
+// A geometry that the device or the validity map cannot be built from is a config
+// error on both the create and the reopen path, not a CHECK in their constructors.
+TEST(FtlBasicTest, BadGeometryIsInvalidArgument) {
+  struct Case {
+    const char* name;  // Appears in the error message.
+    void (*apply)(FtlConfig*);
+  };
+  const Case cases[] = {
+      {"page_size_bytes is 0", [](FtlConfig* c) { c->nand.page_size_bytes = 0; }},
+      {"pages_per_segment is 0", [](FtlConfig* c) { c->nand.pages_per_segment = 0; }},
+      {"num_segments is 0", [](FtlConfig* c) { c->nand.num_segments = 0; }},
+      {"num_channels is 0", [](FtlConfig* c) { c->nand.num_channels = 0; }},
+      {"buses is 0", [](FtlConfig* c) { c->nand.buses = 0; }},
+      {"validity_chunk_bits is 0", [](FtlConfig* c) { c->validity_chunk_bits = 0; }},
+      {"page count exceeds", [](FtlConfig* c) { c->nand.num_segments = 1 << 20; }},
+      {"channel or bus count exceeds", [](FtlConfig* c) { c->nand.buses = (1 << 16) + 1; }},
+      {"4 GiB of payload", [](FtlConfig* c) { c->nand.page_size_bytes = uint64_t{1} << 32; }},
+  };
+  for (const Case& c : cases) {
+    FtlConfig config = SmallConfig();
+    c.apply(&config);
+    const Status created = Ftl::Create(config).status();
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(created.message().find(c.name), std::string::npos) << created;
+    const Status opened =
+        Ftl::Open(config, std::make_unique<NandDevice>(SmallConfig().nand), 0).status();
+    EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(opened.message().find(c.name), std::string::npos) << opened;
+  }
+}
+
 TEST(FtlBasicTest, UnwrittenLbaReadsZeroes) {
   FtlHarness h(SmallConfig());
   EXPECT_TRUE(h.CheckLba(kPrimaryView, 0, 0));

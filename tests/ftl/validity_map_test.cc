@@ -1,8 +1,13 @@
 #include "src/ftl/validity_map.h"
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/obs/trace.h"
 
 namespace iosnap {
 namespace {
@@ -200,6 +205,150 @@ TEST(ValidityMapTest, RandomizedTwoEpochSemantics) {
     EXPECT_EQ(vm.Test(0, p), frozen[p]) << "frozen page " << p;
     EXPECT_EQ(vm.Test(1, p), active[p]) << "active page " << p;
   }
+}
+
+void ExpectSameStats(const ValidityStats& a, const ValidityStats& b) {
+  EXPECT_EQ(a.cow_chunk_copies, b.cow_chunk_copies);
+  EXPECT_EQ(a.cow_bytes_copied, b.cow_bytes_copied);
+  EXPECT_EQ(a.chunk_allocations, b.chunk_allocations);
+  EXPECT_EQ(a.merge_chunk_visits, b.merge_chunk_visits);
+  EXPECT_EQ(a.merge_plane_rebuilds, b.merge_plane_rebuilds);
+  EXPECT_EQ(a.merge_plane_hits, b.merge_plane_hits);
+  EXPECT_EQ(a.range_recounts, b.range_recounts);
+}
+
+std::vector<uint64_t> ValidPages(const ValidityMap& vm, uint32_t epoch) {
+  std::vector<uint64_t> pages;
+  vm.ForEachValid(epoch, [&pages](uint64_t p) { pages.push_back(p); });
+  return pages;
+}
+
+TEST(ValidityMapTest, ApplyBatchMatchesSequentialCalls) {
+  // One map takes each batch through ApplyBatch, the other takes the same ops one by
+  // one through SetValid/ClearValid, over forks and drops of several epochs. Counter
+  // ranges span two chunks, batches repeat paddrs, and early clears hit absent chunks.
+  constexpr uint64_t kPages = 4096;
+  ValidityMap batched(kPages, 64, /*naive_full_copy=*/false, 128);
+  ValidityMap sequential(kPages, 64, /*naive_full_copy=*/false, 128);
+  TraceRecorder batched_trace(1 << 16);
+  TraceRecorder sequential_trace(1 << 16);
+  batched.SetTraceRecorder(&batched_trace);
+  sequential.SetTraceRecorder(&sequential_trace);
+  batched.CreateEpoch(0);
+  sequential.CreateEpoch(0);
+  std::vector<uint32_t> live = {0};
+  uint32_t next_epoch = 1;
+  Rng rng(2022);
+  for (uint64_t round = 0; round < 400; ++round) {
+    batched.NoteTimeNs(round);
+    sequential.NoteTimeNs(round);
+    const uint64_t roll = rng.NextBelow(10);
+    if (roll == 0 && live.size() < 6) {
+      const uint32_t parent = live[rng.NextBelow(live.size())];
+      batched.ForkEpoch(next_epoch, parent);
+      sequential.ForkEpoch(next_epoch, parent);
+      live.push_back(next_epoch++);
+    } else if (roll == 1 && live.size() > 1) {
+      const size_t victim = rng.NextBelow(live.size());
+      batched.DropEpoch(live[victim]);
+      sequential.DropEpoch(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+
+    const uint32_t epoch = live[rng.NextBelow(live.size())];
+    std::vector<ValidityMap::BitOp> ops(1 + rng.NextBelow(40));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const bool repeat = i > 0 && rng.NextBool(0.25);
+      ops[i].paddr = repeat ? ops[rng.NextBelow(i)].paddr : rng.NextBelow(kPages);
+      ops[i].set = rng.NextBool(0.6);
+    }
+    batched.ApplyBatch(epoch, ops);
+    for (const ValidityMap::BitOp& op : ops) {
+      const uint64_t cow = op.set ? sequential.SetValid(epoch, op.paddr)
+                                  : sequential.ClearValid(epoch, op.paddr);
+      ASSERT_EQ(op.cow_bytes, cow) << "round " << round << " paddr " << op.paddr;
+    }
+    // Cleaner-side reads rebuild planes and recount dirty ranges on both maps alike.
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t paddr = rng.NextBelow(kPages);
+      ASSERT_EQ(batched.MergedTest(paddr), sequential.MergedTest(paddr));
+    }
+    for (uint64_t r = 0; r < batched.NumRanges(); ++r) {
+      ASSERT_EQ(batched.MergedValidCount(r), sequential.MergedValidCount(r)) << r;
+      for (uint32_t e : live) {
+        ASSERT_EQ(batched.EpochValidCount(e, r), sequential.EpochValidCount(e, r));
+      }
+    }
+    ExpectSameStats(batched.stats(), sequential.stats());
+  }
+  EXPECT_GT(batched.stats().cow_chunk_copies, 0u);
+  EXPECT_GT(batched.stats().range_recounts, 0u);
+  for (uint32_t e : live) {
+    EXPECT_EQ(ValidPages(batched, e), ValidPages(sequential, e)) << "epoch " << e;
+  }
+  EXPECT_TRUE(batched.VerifyCounters());
+  EXPECT_TRUE(sequential.VerifyCounters());
+
+  const std::vector<TraceEvent> a = batched_trace.Events();
+  const std::vector<TraceEvent> b = sequential_trace.Events();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(batched_trace.dropped(), 0u);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].type, TraceEventType::kValidityCowChunk);
+    EXPECT_EQ(a[i].type, b[i].type);
+    EXPECT_EQ(a[i].start_ns, b[i].start_ns);
+    EXPECT_EQ(a[i].arg0, b[i].arg0) << "event " << i;
+    EXPECT_EQ(a[i].arg1, b[i].arg1);
+    EXPECT_EQ(a[i].arg2, b[i].arg2);
+  }
+}
+
+TEST(ValidityMapTest, CountEpochPagesMatchesPerPageReference) {
+  // Forked epochs that diverge, share chunk objects and drop out; every epoch's
+  // word-wise count must equal a per-page probe of all the other epochs.
+  constexpr uint64_t kPages = 2048;
+  ValidityMap vm(kPages, 128);
+  vm.CreateEpoch(0);
+  std::vector<uint32_t> live = {0};
+  uint32_t next_epoch = 1;
+  Rng rng(31);
+  for (int round = 0; round < 300; ++round) {
+    const uint64_t roll = rng.NextBelow(8);
+    if (roll == 0 && live.size() < 8) {
+      vm.ForkEpoch(next_epoch, live[rng.NextBelow(live.size())]);
+      live.push_back(next_epoch++);
+    } else if (roll == 1 && live.size() > 2) {
+      const size_t victim = rng.NextBelow(live.size());
+      vm.DropEpoch(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    const uint32_t epoch = live[rng.NextBelow(live.size())];
+    for (int i = 0; i < 16; ++i) {
+      const uint64_t paddr = rng.NextBelow(kPages);
+      if (rng.NextBool(0.7)) {
+        vm.SetValid(epoch, paddr);
+      } else {
+        vm.ClearValid(epoch, paddr);
+      }
+    }
+    if (round % 10 != 9) {
+      continue;
+    }
+    for (uint32_t e : live) {
+      std::vector<uint32_t> others;
+      std::copy_if(live.begin(), live.end(), std::back_inserter(others),
+                   [e](uint32_t o) { return o != e; });
+      ValidityMap::EpochPages expect;
+      vm.ForEachValid(e, [&](uint64_t paddr) {
+        ++expect.referenced;
+        expect.exclusive += !vm.TestAny(others, paddr);
+      });
+      const ValidityMap::EpochPages got = vm.CountEpochPages(e);
+      ASSERT_EQ(got.referenced, expect.referenced) << "round " << round << " epoch " << e;
+      ASSERT_EQ(got.exclusive, expect.exclusive) << "round " << round << " epoch " << e;
+    }
+  }
+  EXPECT_GT(vm.DistinctChunkCount(), 16u);  // Forks diverged into distinct versions.
 }
 
 }  // namespace

@@ -330,8 +330,13 @@ int main(int argc, char** argv) {
   config.nand.page_size_bytes = (uint64_t)flags.GetInt("page_kib", 4) * kKiB;
   config.nand.pages_per_segment = (uint64_t)flags.GetInt("segment_pages", 1024);
   const uint64_t device_bytes = (uint64_t)flags.GetInt("device_mib", 1024) * kMiB;
+  if (config.nand.page_size_bytes == 0 || config.nand.pages_per_segment == 0) {
+    std::fprintf(stderr, "--page_kib and --segment_pages must be positive\n");
+    return 1;
+  }
+  // Two divisions: the page-times-segment product could wrap to 0.
   config.nand.num_segments = std::max<uint64_t>(
-      8, device_bytes / (config.nand.page_size_bytes * config.nand.pages_per_segment));
+      8, device_bytes / config.nand.page_size_bytes / config.nand.pages_per_segment);
   config.nand.num_channels = (uint32_t)flags.GetInt("channels", 16);
   config.nand.buses = (uint32_t)flags.GetInt("buses", 1);
   config.nand.copyback_scrub = flags.GetBool("copyback_scrub", true);

@@ -25,6 +25,9 @@ Cases:
                    rebuilt from its stripe, none fails or is lost
   analyze_garbage  a span or trace CSV whose numeric field holds garbage: the
                    analyzer exits nonzero and names the column
+  bad_geometry     a zero page size, segment size, channel count, bus count or
+                   validity chunk size: the sim exits 1 with a message instead of
+                   aborting on a CHECK or a division by zero
 """
 
 import argparse
@@ -163,9 +166,20 @@ def analyze_garbage(tools):
             fail("analyzer error does not name %s '%s'" % (column, text))
 
 
+def bad_geometry(tools):
+    for flag, message in [("--channels=0", "num_channels is 0"),
+                          ("--buses=0", "buses is 0"),
+                          ("--chunk_bits=0", "validity_chunk_bits is 0"),
+                          ("--segment_pages=0", "--segment_pages must be positive"),
+                          ("--page_kib=0", "--page_kib and --segment_pages")]:
+        _, output = run([tools.sim, "--ops=10", flag], 1)
+        if message not in output:
+            fail("%s: no '%s' in the output" % (flag, message))
+
+
 CASES = {f.__name__: f for f in (observability, fault_sim, copyback_faults,
                                  fsck_repair, hostile_image, parity_rebuild,
-                                 analyze_garbage)}
+                                 analyze_garbage, bad_geometry)}
 
 
 def main():
