@@ -12,7 +12,9 @@
 // background instead of the submission style: header-only storage, copyback GC under
 // program faults and corruption, and patrol with idle gaps and retention wear. Three
 // more vary the snapshot lifecycle: a rate-limited activation that inline cleaning
-// races, a writable view that is deactivated, and a rollback.
+// races, a writable view that is deactivated, and a rollback. The last three pin the
+// log's append paths: copyback GC with parity, program failures with parity, and the
+// epoch-colocate cleaner's dynamic heads.
 //
 // A digest changes only when its constant is edited, together with a CHANGES.md line
 // that says why.
@@ -66,6 +68,9 @@ struct GoldenCase {
   bool race_activation = false;
   bool deactivate_view = false;  // kView: deactivate after phase 2; phase 3 uses the primary.
   bool rollback = false;         // Roll the primary back to the first snapshot after phase 2.
+  // The epoch-colocate cleaner, which copies forward through one dynamic head per epoch
+  // class, with the larger GC reserve (6/8/10 free segments) those heads need.
+  bool colocate = false;
   uint64_t digest = 0;
   // The saved NAND image at the end of the run: every stored header, CRC, payload,
   // program time and failed-program hole.
@@ -119,6 +124,12 @@ class GoldenRun {
     config_.degraded_free_floor = c.degraded_free_floor;
     config_.nand.store_data = c.store_data;
     config_.gc_copyback = c.gc_copyback;
+    if (c.colocate) {
+      config_.cleaner_policy = CleanerPolicy::kEpochColocate;
+      config_.gc_reserve_segments = 6;
+      config_.gc_low_free_segments = 8;
+      config_.gc_high_free_segments = 10;
+    }
     if (c.patrol) {
       config_.patrol_enabled = true;
       config_.patrol_sleep_ms = 1;
@@ -490,6 +501,7 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
 
   // Each config must exercise what it names.
   const NandStats& nand = run.ftl().device().stats();
+  const LogStats& log = run.ftl().log_manager().stats();
   EXPECT_GT(run.gc_segments_cleaned(), 0u) << "GC never ran";
   EXPECT_EQ(run.trace().dropped(), 0u) << run.trace().total_recorded();
   if (c.read_fail_ppm > 0) {
@@ -500,6 +512,14 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
   }
   if (c.program_fail_ppm > 0) {
     EXPECT_GT(nand.program_failures, 0u);
+    EXPECT_GT(log.append_reroutes, 0u);
+  }
+  if (c.parity_stripe > 0) {
+    EXPECT_GT(log.parity_pages_written, 0u);
+  }
+  if (c.program_fail_ppm > 0 && c.parity_stripe > 0) {
+    // A failed parity program abandons its segment without rerouting anything.
+    EXPECT_GT(nand.program_failures, log.append_reroutes);
   }
   if (c.degraded_free_floor > 0) {
     EXPECT_GT(run.ftl().stats().degraded_writes_rejected, 0u);
@@ -532,6 +552,15 @@ TEST_P(IoGoldenTest, MatchesPinnedDigest) {
   }
   if (c.rollback) {
     EXPECT_GT(run.ftl().stats().rollbacks, 0u);
+  }
+  if (c.colocate) {
+    int dynamic_heads_open = 0;
+    // The cleaner keeps four epoch-class heads.
+    for (int head = LogManager::kFirstDynamicHead; head < LogManager::kFirstDynamicHead + 4;
+         ++head) {
+      dynamic_heads_open += run.ftl().log_manager().OpenSegment(head).has_value() ? 1 : 0;
+    }
+    EXPECT_GT(dynamic_heads_open, 0);
   }
   EXPECT_EQ(digest, c.digest) << c.name << ": actual digest 0x" << std::hex << digest;
 
@@ -640,7 +669,22 @@ INSTANTIATE_TEST_SUITE_P(
                    .image_digest = 0x4507e74da244bd41ULL},
         GoldenCase{.name = "rollback_vec7", .path = Path::kVectored, .group = 7,
                    .rollback = true, .digest = 0x626f92ddbeff7eddULL,
-                   .image_digest = 0xecc80c742cf22c74ULL}),
+                   .image_digest = 0xecc80c742cf22c74ULL},
+        // Copyback GC with parity and no faults: the accumulator taps the source page's
+        // stored bytes instead of a host payload.
+        GoldenCase{.name = "copyback_parity7_vec7", .path = Path::kVectored, .group = 7,
+                   .parity_stripe = 7, .gc_copyback = true,
+                   .digest = 0x453d7a47bc96a440ULL,
+                   .image_digest = 0xdc7037aa83c72ba4ULL},
+        // Program failures with parity: records reroute, and a failed parity program
+        // abandons its segment.
+        GoldenCase{.name = "program_fail_parity7_vec7", .path = Path::kVectored,
+                   .group = 7, .program_fail_ppm = 2000, .parity_stripe = 7,
+                   .digest = 0x51a999138d5588ddULL,
+                   .image_digest = 0xe30b49085c8bf824ULL},
+        GoldenCase{.name = "colocate_vec7", .path = Path::kVectored, .group = 7,
+                   .colocate = true, .digest = 0x6deb176c50ca5c62ULL,
+                   .image_digest = 0xf40fdafb329dd0d8ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& golden) {
       return std::string(golden.param.name);
     });
