@@ -65,6 +65,14 @@ StatusOr<uint64_t> ActivationTask::ScanOneSegment(uint64_t now_ns) {
     // The snapshot's frozen validity bitmap is the exact membership test (§5.6): one
     // valid physical page per LBA, wherever the cleaner may have moved it.
     if (reader.Test(paddr)) {
+      if (entries_.size() == entries_.capacity()) {
+        // The cleaner moved a collected page into a segment not yet scanned, so the
+        // scan meets it twice. Before growing, drop the entries whose page is no longer
+        // valid (BuildMap would drop them anyway): the valid ones fit the reserve.
+        std::erase_if(entries_, [this](const std::pair<uint64_t, uint64_t>& e) {
+          return !ftl_->validity_.Test(filter_epoch_, e.second);
+        });
+      }
       entries_.emplace_back(header.lba, paddr);
     }
   }

@@ -984,9 +984,46 @@ StatusOr<std::vector<std::pair<uint64_t, uint64_t>>> Ftl::ViewMapEntries(
   return view->map.ToSortedVector();
 }
 
-void Ftl::DetachPaddrFromMaps(uint64_t paddr) {
+std::vector<uint32_t> Ftl::ViewsInLineage(uint32_t epoch) const {
+  std::vector<uint32_t> ids;
+  for (const auto& [id, view] : views_) {
+    if (tree_.InLineage(view.epoch, epoch)) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+uint64_t Ftl::MovePage(const std::vector<uint32_t>& live, std::span<const uint32_t> views,
+                       uint64_t lba, uint64_t old_paddr, uint64_t new_paddr,
+                       uint64_t note_ns) {
+  validity_.NoteTimeNs(note_ns);
+  const uint64_t cow_bytes = validity_.MoveBit(live, old_paddr, new_paddr);
+  // Let in-flight activation scans know the page moved.
+  if (!activations_.empty()) {
+    gc_relocations_.emplace_back(lba, new_paddr);
+  }
+  for (uint32_t view_id : views) {
+    BPlusTree& map = FindView(view_id)->map;
+    const std::optional<uint64_t> mapped = map.Lookup(lba);
+    if (mapped.has_value() && *mapped == old_paddr) {
+      map.Insert(lba, new_paddr);
+    }
+  }
+  return cow_bytes;
+}
+
+bool Ftl::DropPage(const std::vector<uint32_t>& live, uint64_t paddr, uint64_t note_ns) {
+  validity_.NoteTimeNs(note_ns);
+  bool was_live = false;
+  for (uint32_t epoch : live) {
+    if (validity_.Test(epoch, paddr)) {
+      validity_.ClearValid(epoch, paddr);
+      was_live = true;
+    }
+  }
   // Full map sweep — O(mapped blocks) per view, but only ever run on a data-loss
-  // event (a page dropped as unreadable), so correctness beats speed here.
+  // event, so correctness beats speed here.
   for (auto& [id, view] : views_) {
     std::vector<uint64_t> stale;
     view.map.ForEach([&](uint64_t lba, uint64_t mapped) {
@@ -998,6 +1035,7 @@ void Ftl::DetachPaddrFromMaps(uint64_t paddr) {
       view.map.Erase(lba);
     }
   }
+  return was_live;
 }
 
 StatusOr<AppendResult> Ftl::RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
@@ -1074,22 +1112,9 @@ StatusOr<AppendResult> Ftl::RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
   ASSIGN_OR_RETURN(AppendResult ar, log_.Append(LogManager::kGcHead, decoded->header,
                                                 decoded->payload, t));
   ++stats_.total_pages_programmed;
-
   if (decoded->header.type == RecordType::kData) {
-    validity_.NoteTimeNs(ar.op.finish_ns);
-    validity_.MoveBit(LiveEpochs(), old_paddr, ar.paddr);
-    if (!activations_.empty()) {
-      gc_relocations_.emplace_back(decoded->header.lba, ar.paddr);
-    }
-    for (auto& [id, view] : views_) {
-      if (!tree_.InLineage(view.epoch, decoded->header.epoch)) {
-        continue;
-      }
-      const std::optional<uint64_t> mapped = view.map.Lookup(decoded->header.lba);
-      if (mapped.has_value() && *mapped == old_paddr) {
-        view.map.Insert(decoded->header.lba, ar.paddr);
-      }
-    }
+    MovePage(LiveEpochs(), ViewsInLineage(decoded->header.epoch), decoded->header.lba,
+             old_paddr, ar.paddr, ar.op.finish_ns);
   }
 
   ++stats_.pages_rebuilt;

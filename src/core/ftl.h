@@ -301,12 +301,26 @@ class Ftl {
   friend class ActivationTask;
   friend class PatrolScrubber;
 
-  // Erase every forward-map entry (in any view) still pointing at paddr. Used when a
-  // page is dropped as unreadable: a corrupt stored header cannot be trusted to name
-  // the right lba, so the maps are swept by physical address instead — otherwise a
-  // dangling entry survives the segment erase and a later read of the real lba hits
-  // an unprogrammed page.
-  void DetachPaddrFromMaps(uint64_t paddr);
+  // The copy-forward rule (§5.4) for a data page the caller re-appended from
+  // `old_paddr` to `new_paddr` with its (lba, epoch, seq) identity, shared by the
+  // cleaner, parity rebuild and the patrol refresh: moves the page's validity bit in
+  // every epoch of `live`, journals the move for in-flight activation scans, and
+  // repoints each view of `views` whose map still names the old page. The caller passes
+  // the live epochs and the candidate views (ViewsInLineage of the record's epoch), so
+  // the cleaner can serve both from its per-victim caches. `note_ns` stamps the
+  // validity map's CoW events. Returns the bytes the move's CoW copied.
+  uint64_t MovePage(const std::vector<uint32_t>& live, std::span<const uint32_t> views,
+                    uint64_t lba, uint64_t old_paddr, uint64_t new_paddr, uint64_t note_ns);
+  // Drops a page nothing can copy forward: clears it in every epoch of `live` and
+  // erases every forward-map entry, in any view, still pointing at it. The maps are
+  // swept by physical address because a corrupt stored header cannot be trusted to
+  // name the right lba; a dangling entry would survive the segment erase, and a later
+  // read of the real lba would hit an unprogrammed page. Returns whether some live
+  // epoch still held the page.
+  bool DropPage(const std::vector<uint32_t>& live, uint64_t paddr, uint64_t note_ns);
+  // Views whose epoch lineage includes `epoch`: the only forward maps that can name a
+  // record of that epoch.
+  std::vector<uint32_t> ViewsInLineage(uint32_t epoch) const;
 
   struct View {
     uint32_t view_id = 0;

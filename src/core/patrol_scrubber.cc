@@ -27,29 +27,32 @@ bool PatrolScrubber::NeedsRefresh(uint64_t paddr, uint64_t now_ns) const {
   return false;
 }
 
-void PatrolScrubber::DropCorruptPage(uint64_t paddr, const PageHeader& stored,
-                                     uint64_t now_ns) {
-  ftl_->validity_.NoteTimeNs(now_ns);
-  bool was_live = false;
-  for (uint32_t epoch : ftl_->LiveEpochs()) {
-    if (ftl_->validity_.Test(epoch, paddr)) {
-      ftl_->validity_.ClearValid(epoch, paddr);
-      was_live = true;
+StatusOr<uint64_t> PatrolScrubber::RebuildOrDrop(uint64_t paddr, uint64_t now_ns,
+                                                 bool* segment_dirty) {
+  // The corrupt original is expunged only when its segment is erased.
+  *segment_dirty = true;
+  if (ftl_->config_.parity_stripe > 0) {
+    StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
+    if (rebuilt.ok()) {
+      return rebuilt->op.finish_ns;
+    }
+    if (rebuilt.status().code() != StatusCode::kDataLoss) {
+      return rebuilt.status();
     }
   }
-  // The stored header may itself be corrupt (garbage lba), so forward-map fix-ups
-  // sweep by physical address: every entry still pointing at the dead page is
-  // detached, whatever lba it files under.
-  ftl_->DetachPaddrFromMaps(paddr);
-  if (was_live) {
+  // The stored header may itself be corrupt (garbage lba), so DropPage sweeps the
+  // forward maps by physical address.
+  if (ftl_->DropPage(ftl_->LiveEpochs(), paddr, now_ns)) {
     ++ftl_->stats_.patrol_pages_dropped;
     ++ftl_->stats_.pages_lost_forever;
     if (ftl_->trace_ != nullptr) {
-      ftl_->trace_->Record(TraceEventType::kPatrolDrop, now_ns, now_ns, stored.lba, paddr);
+      ftl_->trace_->Record(TraceEventType::kPatrolDrop, now_ns, now_ns,
+                           ftl_->device_->InspectPage(paddr).header.lba, paddr);
     }
   } else {
     ++ftl_->stats_.pages_superseded;
   }
+  return now_ns;
 }
 
 StatusOr<uint64_t> PatrolScrubber::RewritePage(uint64_t paddr, uint64_t now_ns,
@@ -61,18 +64,8 @@ StatusOr<uint64_t> PatrolScrubber::RewritePage(uint64_t paddr, uint64_t now_ns,
   if (!read.ok()) {
     if (read.status().code() == StatusCode::kDataLoss) {
       // The full read found what the header scan could not fix: the page is corrupt
-      // (possibly disturbed by this very sense). Parity rebuild before expunge: a
-      // success re-appends the page elsewhere and repairs the maps, and the corrupt
-      // original is erased with the segment it dirties.
-      *segment_dirty = true;
-      if (ftl_->config_.parity_stripe > 0) {
-        StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
-        if (rebuilt.ok()) {
-          return rebuilt->op.finish_ns;
-        }
-      }
-      DropCorruptPage(paddr, ftl_->device_->InspectPage(paddr).header, now_ns);
-      return now_ns;
+      // (possibly disturbed by this very sense).
+      return RebuildOrDrop(paddr, now_ns, segment_dirty);
     }
     if (read.status().code() == StatusCode::kUnavailable) {
       return now_ns;  // Retries exhausted this burst; the next sweep tries again.
@@ -85,22 +78,8 @@ StatusOr<uint64_t> PatrolScrubber::RewritePage(uint64_t paddr, uint64_t now_ns,
   // attribute the page correctly.
   ASSIGN_OR_RETURN(AppendResult ar,
                    ftl_->log_.Append(LogManager::kGcHead, header, data, read->finish_ns));
-
-  ftl_->validity_.NoteTimeNs(now_ns);
-  const std::vector<uint32_t> live = ftl_->LiveEpochs();
-  ftl_->validity_.MoveBit(live, paddr, ar.paddr);
-  if (!ftl_->activations_.empty()) {
-    ftl_->gc_relocations_.emplace_back(header.lba, ar.paddr);
-  }
-  for (auto& [id, view] : ftl_->views_) {
-    if (!ftl_->tree_.InLineage(view.epoch, header.epoch)) {
-      continue;
-    }
-    const std::optional<uint64_t> mapped = view.map.Lookup(header.lba);
-    if (mapped.has_value() && *mapped == paddr) {
-      view.map.Insert(header.lba, ar.paddr);
-    }
-  }
+  ftl_->MovePage(ftl_->LiveEpochs(), ftl_->ViewsInLineage(header.epoch), header.lba, paddr,
+                 ar.paddr, now_ns);
 
   ++ftl_->stats_.patrol_pages_rewritten;
   ++ftl_->stats_.total_pages_programmed;
@@ -133,17 +112,7 @@ StatusOr<uint64_t> PatrolScrubber::ScanPage(uint64_t paddr, uint64_t now_ns,
     return now_ns;
   }
   if (code == StatusCode::kDataLoss) {
-    // Same escalation as RewritePage's corrupt branch: rebuild from parity when
-    // possible, expunge only when the stripe cannot help.
-    *segment_dirty = true;
-    if (ftl_->config_.parity_stripe > 0) {
-      StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
-      if (rebuilt.ok()) {
-        return rebuilt->op.finish_ns;
-      }
-    }
-    DropCorruptPage(paddr, ftl_->device_->InspectPage(paddr).header, now_ns);
-    return now_ns;
+    return RebuildOrDrop(paddr, now_ns, segment_dirty);
   }
   return verify.status();
 }

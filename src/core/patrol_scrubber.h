@@ -29,7 +29,6 @@
 #include <cstdint>
 
 #include "src/common/status.h"
-#include "src/nand/page_header.h"
 
 namespace iosnap {
 
@@ -58,17 +57,16 @@ class PatrolScrubber {
   StatusOr<uint64_t> ScanPage(uint64_t paddr, uint64_t now_ns, bool* segment_dirty);
 
   // Reads `paddr` in full and re-appends it through the GC head, then performs the
-  // copy-forward fix-ups (validity MoveBit over live epochs, activation relocation
-  // journal, view forward-map updates). Falls back to the drop path (setting
-  // *segment_dirty) when the full read reveals the page is corrupt. Returns the
-  // device finish time.
+  // copy-forward fix-ups (Ftl::MovePage). Falls back to RebuildOrDrop when the full
+  // read reveals the page is corrupt. Returns the device finish time.
   StatusOr<uint64_t> RewritePage(uint64_t paddr, uint64_t now_ns, bool* segment_dirty);
 
-  // Drops every reference to a CRC-failed page (validity bits in all live epochs plus
-  // any view forward map still pointing at it) so nothing resolves to it once its
-  // segment is evacuated. `stored` is the page's raw stored header (possibly itself
-  // corrupt; map fix-ups are guarded by a paddr equality check).
-  void DropCorruptPage(uint64_t paddr, const PageHeader& stored, uint64_t now_ns);
+  // Handles a CRC-failed page and sets *segment_dirty: with parity on, rebuilds it
+  // from its stripe; when the stripe cannot help, or parity is off, drops every
+  // reference to it (Ftl::DropPage) so nothing resolves to it once its segment is
+  // evacuated. Returns the rebuild's finish time, or `now_ns` after a drop; a rebuild
+  // error other than kDataLoss propagates.
+  StatusOr<uint64_t> RebuildOrDrop(uint64_t paddr, uint64_t now_ns, bool* segment_dirty);
 
   // True when the live page at `paddr` crossed a refresh threshold (segment read
   // count / page age; a zero threshold disables that trigger).

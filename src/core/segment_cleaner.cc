@@ -248,15 +248,7 @@ const std::vector<uint32_t>& SegmentCleaner::ViewsForEpoch(uint32_t epoch) {
   RefreshEpochCaches();
   auto it = victim_->views_for_epoch.find(epoch);
   if (it == victim_->views_for_epoch.end()) {
-    // A view's forward map can only reference records whose epoch lies on the view
-    // epoch's lineage; all other views are skipped during copy-forward fix-up.
-    std::vector<uint32_t> ids;
-    for (const auto& [id, view] : ftl_->views_) {
-      if (ftl_->tree_.InLineage(view.epoch, epoch)) {
-        ids.push_back(id);
-      }
-    }
-    it = victim_->views_for_epoch.emplace(epoch, std::move(ids)).first;
+    it = victim_->views_for_epoch.emplace(epoch, ftl_->ViewsInLineage(epoch)).first;
   }
   return it->second;
 }
@@ -301,22 +293,23 @@ StatusOr<uint64_t> SegmentCleaner::FlushTrimSummaries(uint64_t now_ns) {
   return t;
 }
 
-void SegmentCleaner::DropUnreadablePage(uint64_t paddr,
-                                        const std::vector<uint32_t>& live,
-                                        uint64_t now_ns) {
-  ftl_->validity_.NoteTimeNs(now_ns);
-  bool was_live = false;
-  for (uint32_t epoch : live) {
-    if (ftl_->validity_.Test(epoch, paddr)) {
-      ftl_->validity_.ClearValid(epoch, paddr);
-      was_live = true;
+StatusOr<uint64_t> SegmentCleaner::RebuildOrDrop(uint64_t paddr, uint64_t now_ns,
+                                                 bool* copied_data_page) {
+  if (ftl_->config_.parity_stripe > 0) {
+    StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
+    if (rebuilt.ok()) {
+      ++victim_->pacing_done;
+      *copied_data_page = true;
+      return rebuilt->op.finish_ns;
+    }
+    if (rebuilt.status().code() != StatusCode::kDataLoss) {
+      return rebuilt.status();
     }
   }
-  // The stored header is the thing that just failed its CRC — header.lba may be
-  // garbage, so the forward maps are swept by physical address instead of by name.
-  // A dangling entry here would outlive the victim's erase and turn a later read of
-  // the real lba into an unprogrammed-page fault.
-  ftl_->DetachPaddrFromMaps(paddr);
+  IOSNAP_LOG(kWarning) << "[cleaner] dropping unreadable page " << paddr;
+  // The stored header may be the thing that failed its CRC, so DropPage sweeps the
+  // forward maps by physical address instead of by name.
+  const bool was_live = ftl_->DropPage(LiveEpochsCached(), paddr, now_ns);
   ++ftl_->stats_.gc_pages_lost;
   // Unified taxonomy: a page nothing referenced anymore was merely superseded; one
   // still live in some epoch is user-visible loss.
@@ -325,6 +318,7 @@ void SegmentCleaner::DropUnreadablePage(uint64_t paddr,
   } else {
     ++ftl_->stats_.pages_superseded;
   }
+  return now_ns;
 }
 
 uint64_t SegmentCleaner::FinishRelocation(uint64_t paddr, const PageHeader& header,
@@ -332,27 +326,11 @@ uint64_t SegmentCleaner::FinishRelocation(uint64_t paddr, const PageHeader& head
                                           const std::vector<uint32_t>& live,
                                           uint64_t now_ns, bool via_copyback,
                                           bool* copied_data_page) {
-  // Move validity bits in every epoch that referenced the old location.
-  ftl_->validity_.NoteTimeNs(now_ns);
-  const uint64_t cow_bytes = ftl_->validity_.MoveBit(live, paddr, ar.paddr);
+  const uint64_t cow_bytes = ftl_->MovePage(live, ViewsForEpoch(header.epoch), header.lba,
+                                            paddr, ar.paddr, now_ns);
   const uint64_t cow_ns = cow_bytes * ftl_->config_.host_cow_ns_per_byte;
   const uint64_t host_ns = live.size() * ftl_->config_.host_bitmap_update_ns + cow_ns;
   ftl_->stats_.gc_total_host_ns += host_ns;
-
-  // Let in-flight activation scans know the block moved.
-  if (!ftl_->activations_.empty()) {
-    ftl_->gc_relocations_.emplace_back(header.lba, ar.paddr);
-  }
-
-  // Fix any view whose forward map pointed at the old location — only views whose
-  // epoch lineage can reference this record's epoch need consulting.
-  for (uint32_t view_id : ViewsForEpoch(header.epoch)) {
-    auto* view = ftl_->FindView(view_id);
-    const std::optional<uint64_t> mapped = view->map.Lookup(header.lba);
-    if (mapped.has_value() && *mapped == paddr) {
-      view->map.Insert(header.lba, ar.paddr);
-    }
-  }
 
   ++ftl_->stats_.gc_pages_copied;
   ++ftl_->stats_.total_pages_programmed;
@@ -455,22 +433,8 @@ StatusOr<uint64_t> SegmentCleaner::ProcessEntry(
           if (ar.status().code() == StatusCode::kDataLoss &&
               !ftl_->device_->PageCrcIntact(paddr)) {
             // Scrub-on-copyback caught a corrupted source: the page cannot be copied
-            // forward as-is. With parity on, try an XOR rebuild from the stripe first;
-            // a successful rebuild re-appends the page and repairs every map itself,
-            // so it fully replaces this relocation.
-            if (ftl_->config_.parity_stripe > 0) {
-              StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
-              if (rebuilt.ok()) {
-                ++victim_->pacing_done;
-                *copied_data_page = true;
-                return rebuilt->op.finish_ns;
-              }
-            }
-            IOSNAP_LOG(kWarning) << "[cleaner] dropping unreadable page " << paddr
-                                 << " (lba " << header.lba
-                                 << "): " << ar.status();
-            DropUnreadablePage(paddr, live, now_ns);
-            return now_ns;
+            // forward as-is.
+            return RebuildOrDrop(paddr, now_ns, copied_data_page);
           }
           return ar.status();
         }
@@ -484,24 +448,10 @@ StatusOr<uint64_t> SegmentCleaner::ProcessEntry(
           paddr, now_ns, nullptr, &data, ftl_->config_.read_retry_limit);
       if (!read.ok() && read.status().code() == StatusCode::kDataLoss) {
         // The page is permanently unreadable (CRC failure): its contents cannot be
-        // copied forward as-is. Parity rebuild first (it re-appends and repairs every
-        // map, standing in for this relocation); only a failed rebuild drops the page,
-        // scrubbing every reference so no map or bitmap points at it once the victim
-        // segment is erased. (An activation scan already in flight over this segment
-        // can still surface the dead paddr; its reads then fail with a typed error
-        // rather than returning corrupt data.)
-        if (ftl_->config_.parity_stripe > 0) {
-          StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
-          if (rebuilt.ok()) {
-            ++victim_->pacing_done;
-            *copied_data_page = true;
-            return rebuilt->op.finish_ns;
-          }
-        }
-        IOSNAP_LOG(kWarning) << "[cleaner] dropping unreadable page " << paddr << " (lba "
-                             << header.lba << "): " << read.status();
-        DropUnreadablePage(paddr, live, now_ns);
-        return now_ns;
+        // copied forward as-is. (An activation scan already in flight over this
+        // segment can still surface the dead paddr; its reads then fail with a typed
+        // error rather than returning corrupt data.)
+        return RebuildOrDrop(paddr, now_ns, copied_data_page);
       }
       ASSIGN_OR_RETURN(NandOp read_op, std::move(read));
       ASSIGN_OR_RETURN(AppendResult ar,
@@ -646,15 +596,8 @@ StatusOr<uint64_t> SegmentCleaner::Step(uint64_t now_ns, uint64_t max_pages) {
         victim_->corrupt_paddrs.pop_back();
         continue;
       }
-      StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(corrupt_paddr, t, nullptr);
-      if (rebuilt.ok()) {
-        t = rebuilt->op.finish_ns;
-        ++victim_->pacing_done;
-      } else if (rebuilt.status().code() == StatusCode::kDataLoss) {
-        DropUnreadablePage(corrupt_paddr, LiveEpochsCached(), t);
-      } else {
-        return rebuilt.status();
-      }
+      bool rebuilt = false;
+      ASSIGN_OR_RETURN(t, RebuildOrDrop(corrupt_paddr, t, &rebuilt));
       victim_->corrupt_paddrs.pop_back();
     }
     ASSIGN_OR_RETURN(t, FlushTrimSummaries(t));

@@ -141,15 +141,17 @@ class SegmentCleaner {
   StatusOr<uint64_t> ProcessEntry(const std::pair<uint64_t, PageHeader>& entry,
                                   uint64_t now_ns, bool* copied_data_page);
 
-  // Scrubs every reference to a permanently unreadable page so nothing points at it
-  // once the victim is erased (validity bits in every live epoch + view forward maps).
-  void DropUnreadablePage(uint64_t paddr,
-                          const std::vector<uint32_t>& live, uint64_t now_ns);
+  // Stands in for the relocation of a permanently unreadable data page: with parity
+  // on, rebuilds it from its stripe (the rebuild re-appends it and repairs every map);
+  // when the stripe cannot help, or parity is off, drops it, scrubbing every reference
+  // so nothing points at it once the victim is erased. Returns the rebuild's finish
+  // time, or `now_ns` after a drop; a rebuild error other than kDataLoss propagates.
+  StatusOr<uint64_t> RebuildOrDrop(uint64_t paddr, uint64_t now_ns, bool* copied_data_page);
 
   // Post-relocation bookkeeping shared by the classic read+append path and the
-  // copyback path: validity-bit moves, activation journal, view fix-ups, stats, and
-  // the copy-forward trace event. `via_copyback` additionally records a kGcCopy
-  // latency span breakdown (copyback-only so default runs carry no extra records).
+  // copyback path: Ftl::MovePage, stats, and the copy-forward trace event.
+  // `via_copyback` additionally records a kGcCopy latency span breakdown
+  // (copyback-only so default runs carry no extra records).
   uint64_t FinishRelocation(uint64_t paddr, const PageHeader& header,
                             const AppendResult& ar, const std::vector<uint32_t>& live,
                             uint64_t now_ns, bool via_copyback, bool* copied_data_page);

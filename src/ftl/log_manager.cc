@@ -30,35 +30,24 @@ void LogManager::ResetParity(Head& h) {
   h.parity_poisoned = false;
 }
 
-void LogManager::AccumulateParity(Head& h, const PageHeader& header,
-                                  std::span<const uint8_t> data) {
+void LogManager::AccumulateParity(Head& h, const AppendRequest& record,
+                                  std::optional<uint64_t> copyback_src) {
   if (parity_stripe_ == 0 || h.parity_poisoned) {
     return;
   }
-  if (h.parity_xor.empty()) {
-    ResetParity(h);
+  PageHeader stored;
+  std::span<const uint8_t> payload;
+  if (copyback_src.has_value()) {
+    stored = device_->PeekHeader(*copyback_src);
+    payload = device_->PeekPageData(*copyback_src);
+  } else {
+    stored = record.header;
+    if (device_->config().store_data || PayloadAlwaysStored(record.header.type)) {
+      payload = record.data;
+    }
+    stored.crc = ComputePageCrc(stored, payload);
   }
-  const bool stored =
-      (device_->config().store_data || PayloadAlwaysStored(header.type)) && !data.empty();
-  const std::span<const uint8_t> payload =
-      stored ? data : std::span<const uint8_t>{};
-  PageHeader stamped = header;
-  stamped.crc = ComputePageCrc(stamped, payload);
-  if (!XorMemberImage(h.parity_xor, stamped, payload, device_->config().page_size_bytes)
-           .ok()) {
-    h.parity_poisoned = true;
-  }
-}
-
-void LogManager::AccumulateParityStored(Head& h, uint64_t src_paddr) {
-  if (parity_stripe_ == 0 || h.parity_poisoned) {
-    return;
-  }
-  if (h.parity_xor.empty()) {
-    ResetParity(h);
-  }
-  if (!XorMemberImage(h.parity_xor, device_->PeekHeader(src_paddr),
-                      device_->PeekPageData(src_paddr), device_->config().page_size_bytes)
+  if (!XorMemberImage(h.parity_xor, stored, payload, device_->config().page_size_bytes)
            .ok()) {
     h.parity_poisoned = true;
   }
@@ -77,9 +66,6 @@ Status LogManager::EmitParityIfDue(int head, uint64_t issue_ns) {
         !IsParitySlot(next, parity_stripe_, pages_per_segment)) {
       return OkStatus();
     }
-    if (h.parity_xor.empty()) {
-      ResetParity(h);
-    }
     const uint64_t start = StripeStartIndex(next, parity_stripe_);
     PageHeader header;
     header.type = RecordType::kParity;
@@ -89,14 +75,11 @@ Status LogManager::EmitParityIfDue(int head, uint64_t issue_ns) {
     header.payload_len = static_cast<uint32_t>(h.parity_xor.size());
     // A poisoned stripe writes an all-zero image under trim_count = 0: a parity page
     // that verifies (the log stays scannable) but that rebuild refuses to use.
-    const std::vector<uint8_t> zeros =
-        h.parity_poisoned ? std::vector<uint8_t>(h.parity_xor.size(), 0)
-                          : std::vector<uint8_t>{};
-    const std::span<const uint8_t> image =
-        h.parity_poisoned ? std::span<const uint8_t>(zeros)
-                          : std::span<const uint8_t>(h.parity_xor);
+    if (h.parity_poisoned) {
+      std::fill(h.parity_xor.begin(), h.parity_xor.end(), 0);
+    }
     uint64_t paddr = 0;
-    StatusOr<NandOp> op = device_->ProgramPage(seg, header, image, issue_ns, &paddr);
+    StatusOr<NandOp> op = device_->ProgramPage(seg, header, h.parity_xor, issue_ns, &paddr);
     if (!op.ok()) {
       if (op.status().code() == StatusCode::kDataLoss) {
         // The parity program retired the block. Positional parity cannot be re-driven
@@ -115,10 +98,7 @@ Status LogManager::EmitParityIfDue(int head, uint64_t issue_ns) {
                      header.trim_count);
     }
     ResetParity(h);
-    if (device_->NextFreePage(seg) >= pages_per_segment) {
-      segments_[seg].state = SegmentState::kClosed;
-      h.open_segment.reset();
-    }
+    CloseIfFull(h);
   }
   return OkStatus();
 }
@@ -154,9 +134,15 @@ StatusOr<uint64_t> LogManager::AcquireSegment(int head) {
   IOSNAP_CHECK(info.state == SegmentState::kFree);
   info.state = SegmentState::kOpen;
   info.use_order = ++use_counter_;
-  info.min_seq = ~uint64_t{0};
-  info.epoch_pages.clear();
   return seg;
+}
+
+void LogManager::CloseIfFull(Head& h) {
+  if (h.open_segment.has_value() &&
+      device_->NextFreePage(*h.open_segment) >= device_->config().pages_per_segment) {
+    segments_[*h.open_segment].state = SegmentState::kClosed;
+    h.open_segment.reset();
+  }
 }
 
 void LogManager::AbandonOpenSegment(int head) {
@@ -171,128 +157,133 @@ void LogManager::AbandonOpenSegment(int head) {
 
 StatusOr<AppendResult> LogManager::Append(int head, const PageHeader& header,
                                           std::span<const uint8_t> data, uint64_t issue_ns) {
-  Head& h = HeadFor(head);
-
-  for (int attempt = 0;; ++attempt) {
-    if (h.open_segment.has_value()) {
-      const uint64_t seg = *h.open_segment;
-      if (device_->NextFreePage(seg) >= device_->config().pages_per_segment) {
-        segments_[seg].state = SegmentState::kClosed;
-        h.open_segment.reset();
-      }
-    }
-    if (!h.open_segment.has_value()) {
-      ASSIGN_OR_RETURN(uint64_t seg, AcquireSegment(head));
-      h.open_segment = seg;
-      ResetParity(h);
-    }
-    // A reopened partial segment may sit exactly on a parity slot: cover the pending
-    // stripe before the member lands.
-    RETURN_IF_ERROR(EmitParityIfDue(head, issue_ns));
-    if (!h.open_segment.has_value()) {
-      continue;  // Parity emission closed or abandoned the segment; take a fresh one.
-    }
-
-    const uint64_t seg = *h.open_segment;
-    AppendResult result;
-    StatusOr<NandOp> op = device_->ProgramPage(seg, header, data, issue_ns, &result.paddr);
-    if (!op.ok()) {
-      if (op.status().code() == StatusCode::kDataLoss && attempt < kMaxAppendReroutes) {
-        // Program failure: the device retired the block. Abandon the segment (the
-        // cleaner will copy its earlier records off) and re-drive the record.
-        AbandonOpenSegment(head);
-        ++stats_.append_reroutes;
-        continue;
-      }
-      return op.status();
-    }
-    result.op = *op;
-    AccumulateParity(h, header, data);
-
-    SegmentInfo& info = segments_[seg];
-    info.min_seq = std::min(info.min_seq, header.seq);
-    if (header.type == RecordType::kData) {
-      info.min_data_seq = std::min(info.min_data_seq, header.seq);
-      ++info.epoch_pages[header.epoch];
-    }
-    // The member is durable, so the op is acked no matter what happens to the
-    // trailing parity emission: a failure here (say the device went offline mid
-    // parity program) leaves the stripe uncovered until a later append retries the
-    // slot — protection degradation, never a failed-but-durable user write.
-    if (const Status parity = EmitParityIfDue(head, issue_ns); !parity.ok()) {
-      IOSNAP_LOG(kWarning) << "log: trailing parity emission failed: " << parity;
-    }
-    if (h.open_segment.has_value() &&
-        device_->NextFreePage(seg) >= device_->config().pages_per_segment) {
-      info.state = SegmentState::kClosed;
-      h.open_segment.reset();
-    }
-    return result;
-  }
+  return AppendOne(head, {header, data}, std::nullopt, issue_ns);
 }
 
 StatusOr<AppendResult> LogManager::AppendCopyback(int head, uint64_t src_paddr,
                                                   const PageHeader& header,
                                                   uint64_t issue_ns) {
-  Head& h = HeadFor(head);
+  return AppendOne(head, {header, {}}, src_paddr, issue_ns);
+}
 
-  for (int attempt = 0;; ++attempt) {
-    if (h.open_segment.has_value()) {
-      const uint64_t seg = *h.open_segment;
-      if (device_->NextFreePage(seg) >= device_->config().pages_per_segment) {
-        segments_[seg].state = SegmentState::kClosed;
-        h.open_segment.reset();
-      }
-    }
+Status LogManager::AppendBatch(int head, std::span<const AppendRequest> requests,
+                               uint64_t issue_ns, std::vector<AppendResult>* results_out,
+                               std::span<const uint64_t> issue_at) {
+  return AppendRun(head, requests, std::nullopt, issue_ns, issue_at, results_out);
+}
+
+StatusOr<AppendResult> LogManager::AppendOne(int head, const AppendRequest& request,
+                                             std::optional<uint64_t> copyback_src,
+                                             uint64_t issue_ns) {
+  one_result_.clear();
+  RETURN_IF_ERROR(AppendRun(head, std::span<const AppendRequest>(&request, 1), copyback_src,
+                            issue_ns, {}, &one_result_));
+  return one_result_.front();
+}
+
+Status LogManager::AppendRun(int head, std::span<const AppendRequest> requests,
+                             std::optional<uint64_t> copyback_src, uint64_t issue_ns,
+                             std::span<const uint64_t> issue_at,
+                             std::vector<AppendResult>* results_out) {
+  IOSNAP_CHECK(issue_at.empty() || issue_at.size() == requests.size());
+  IOSNAP_CHECK(!copyback_src.has_value() || requests.size() == 1);
+  IOSNAP_CHECK(results_out != nullptr);
+  const uint64_t pages_per_segment = device_->config().pages_per_segment;
+  Head& h = HeadFor(head);
+  results_out->reserve(results_out->size() + requests.size());
+
+  size_t next = 0;
+  int reroutes = 0;  // Spent by the record that leads the remainder.
+  while (next < requests.size()) {
+    CloseIfFull(h);
     if (!h.open_segment.has_value()) {
-      ASSIGN_OR_RETURN(uint64_t seg, AcquireSegment(head));
-      h.open_segment = seg;
+      ASSIGN_OR_RETURN(uint64_t acquired, AcquireSegment(head));
+      h.open_segment = acquired;
       ResetParity(h);
     }
+    // A reopened partial segment may sit exactly on a parity slot: cover the pending
+    // stripe before the next member lands.
     RETURN_IF_ERROR(EmitParityIfDue(head, issue_ns));
     if (!h.open_segment.has_value()) {
       continue;  // Parity emission closed or abandoned the segment; take a fresh one.
     }
-
     const uint64_t seg = *h.open_segment;
-    AppendResult result;
-    StatusOr<NandOp> op = device_->CopybackPage(src_paddr, seg, issue_ns, &result.paddr);
-    if (!op.ok()) {
-      // kDataLoss means either a program failure (destination block retired — reroute
-      // to a fresh segment, exactly like Append) or a scrub-detected CRC mismatch on
-      // the source (the destination is fine; rerouting cannot fix the source, so the
-      // error propagates for the caller's unreadable-page handling).
-      if (op.status().code() == StatusCode::kDataLoss && device_->IsBadSegment(seg) &&
-          attempt < kMaxAppendReroutes) {
+    const uint64_t next_free = device_->NextFreePage(seg);
+    uint64_t room = pages_per_segment - next_free;
+    if (parity_stripe_ > 0) {
+      // Stop the run at the next parity slot so the stripe's parity page interleaves
+      // at its positional slot (EmitParityIfDue writes it on the next pass).
+      room = std::min(room,
+                      ParitySlotFor(next_free, parity_stripe_, pages_per_segment) -
+                          next_free);
+    }
+    const size_t run_len = std::min<uint64_t>(requests.size() - next, room);
+
+    batch_paddrs_.clear();
+    batch_ops_.clear();
+    Status status;
+    if (copyback_src.has_value()) {
+      uint64_t paddr = 0;
+      StatusOr<NandOp> op = device_->CopybackPage(*copyback_src, seg, issue_ns, &paddr);
+      if (op.ok()) {
+        batch_paddrs_.push_back(paddr);
+        batch_ops_.push_back(*op);
+      } else {
+        status = op.status();
+      }
+    } else {
+      status = device_->ProgramBatch(seg, requests.subspan(next, run_len), issue_ns,
+                                     &batch_paddrs_, &batch_ops_,
+                                     issue_at.empty() ? std::span<const uint64_t>{}
+                                                      : issue_at.subspan(next, run_len));
+    }
+    // A torn run committed `batch_ops_.size()` pages before failing; account exactly
+    // those.
+    const size_t done = batch_ops_.size();
+    SegmentInfo& info = segments_[seg];
+    for (size_t i = 0; i < done; ++i) {
+      const PageHeader& header = requests[next + i].header;
+      info.min_seq = std::min(info.min_seq, header.seq);
+      if (header.type == RecordType::kData) {
+        info.min_data_seq = std::min(info.min_data_seq, header.seq);
+        ++info.epoch_pages[header.epoch];
+      }
+      AccumulateParity(h, requests[next + i], copyback_src);
+      results_out->push_back(AppendResult{batch_paddrs_[i], batch_ops_[i]});
+    }
+    next += done;
+    if (done > 0) {
+      reroutes = 0;  // A new record leads the remainder; its budget starts fresh.
+    }
+    if (!status.ok()) {
+      // The reroute rule: only a failed program of the record itself spends its
+      // budget, and a kDataLoss reroutes only when the destination segment is now bad.
+      // Every program failure retires its block, so that is every kDataLoss from
+      // ProgramBatch; a copyback kDataLoss that leaves the destination good is a
+      // scrub-detected unreadable source, which no reroute can fix.
+      if (status.code() == StatusCode::kDataLoss && device_->IsBadSegment(seg) &&
+          reroutes < kMaxAppendReroutes) {
+        // Abandon the bad segment (the cleaner copies its earlier records off later)
+        // and re-drive the remainder into a fresh one.
         AbandonOpenSegment(head);
         ++stats_.append_reroutes;
+        ++reroutes;
         continue;
       }
-      return op.status();
+      return status;
     }
-    result.op = *op;
-    // The destination's stored bytes came verbatim from the source; tap the source
-    // for the accumulator (the on-die XOR engine sits on the same internal path).
-    AccumulateParityStored(h, src_paddr);
-
-    SegmentInfo& info = segments_[seg];
-    info.min_seq = std::min(info.min_seq, header.seq);
-    if (header.type == RecordType::kData) {
-      info.min_data_seq = std::min(info.min_data_seq, header.seq);
-      ++info.epoch_pages[header.epoch];
-    }
-    // As in Append: the relocated page is durable, so the trailing parity emission
-    // must not fail the relocation it rode in on.
+    // Cover a just-completed stripe immediately (not lazily at the next append): a
+    // crash between the run and its parity page must cost at most one stripe's cover.
+    // The run is durable, so an emission failure (say the device went offline mid
+    // parity program) must not fail it: the stripe stays uncovered until a later
+    // append retries the slot, and if records remain, the next pass's leading emission
+    // surfaces the fault anyway.
     if (const Status parity = EmitParityIfDue(head, issue_ns); !parity.ok()) {
       IOSNAP_LOG(kWarning) << "log: trailing parity emission failed: " << parity;
     }
-    if (h.open_segment.has_value() &&
-        device_->NextFreePage(seg) >= device_->config().pages_per_segment) {
-      info.state = SegmentState::kClosed;
-      h.open_segment.reset();
-    }
-    return result;
+    CloseIfFull(h);
   }
+  return OkStatus();
 }
 
 std::optional<uint32_t> LogManager::NextAppendChannel(int head) const {
@@ -310,100 +301,6 @@ std::optional<uint32_t> LogManager::NextAppendChannel(int head) const {
     return static_cast<uint32_t>(device_->FirstPageOf(free_segments_.front()) % channels);
   }
   return std::nullopt;
-}
-
-Status LogManager::AppendBatch(int head, std::span<const AppendRequest> requests,
-                               uint64_t issue_ns, std::vector<AppendResult>* results_out,
-                               std::span<const uint64_t> issue_at) {
-  IOSNAP_CHECK(issue_at.empty() || issue_at.size() == requests.size());
-  IOSNAP_CHECK(results_out != nullptr);
-  const uint64_t pages_per_segment = device_->config().pages_per_segment;
-  Head& h = HeadFor(head);
-  results_out->reserve(results_out->size() + requests.size());
-
-  std::vector<NandDevice::ProgramRequest>& run = batch_run_;
-  std::vector<uint64_t>& run_paddrs = batch_paddrs_;
-  std::vector<NandOp>& run_ops = batch_ops_;
-  size_t next = 0;
-  int reroutes = 0;
-  while (next < requests.size()) {
-    if (h.open_segment.has_value() &&
-        device_->NextFreePage(*h.open_segment) >= pages_per_segment) {
-      segments_[*h.open_segment].state = SegmentState::kClosed;
-      h.open_segment.reset();
-    }
-    if (!h.open_segment.has_value()) {
-      ASSIGN_OR_RETURN(uint64_t acquired, AcquireSegment(head));
-      h.open_segment = acquired;
-      ResetParity(h);
-    }
-    RETURN_IF_ERROR(EmitParityIfDue(head, issue_ns));
-    if (!h.open_segment.has_value()) {
-      continue;  // Parity emission closed or abandoned the segment; take a fresh one.
-    }
-    const uint64_t seg = *h.open_segment;
-    const uint64_t next_free = device_->NextFreePage(seg);
-    uint64_t room = pages_per_segment - next_free;
-    if (parity_stripe_ > 0) {
-      // Stop the run at the next parity slot so the stripe's parity page interleaves
-      // at its positional slot (EmitParityIfDue writes it on the next pass).
-      room = std::min(room,
-                      ParitySlotFor(next_free, parity_stripe_, pages_per_segment) -
-                          next_free);
-    }
-    const size_t run_len = std::min<uint64_t>(requests.size() - next, room);
-
-    run.clear();
-    run_paddrs.clear();
-    run_ops.clear();
-    for (size_t i = 0; i < run_len; ++i) {
-      run.push_back({requests[next + i].header, requests[next + i].data});
-    }
-    const Status run_status = device_->ProgramBatch(
-        seg, run, issue_ns, &run_paddrs, &run_ops,
-        issue_at.empty() ? std::span<const uint64_t>{}
-                         : issue_at.subspan(next, run_len));
-    // A torn run committed `run_ops.size()` pages before failing; account exactly those.
-    const size_t done = run_ops.size();
-    SegmentInfo& info = segments_[seg];
-    for (size_t i = 0; i < done; ++i) {
-      const PageHeader& header = requests[next + i].header;
-      info.min_seq = std::min(info.min_seq, header.seq);
-      if (header.type == RecordType::kData) {
-        info.min_data_seq = std::min(info.min_data_seq, header.seq);
-        ++info.epoch_pages[header.epoch];
-      }
-      AccumulateParity(h, header, requests[next + i].data);
-      results_out->push_back(AppendResult{run_paddrs[i], run_ops[i]});
-    }
-    next += done;
-    if (done > 0) {
-      reroutes = 0;  // A new record leads the remainder; its budget starts fresh.
-    }
-    if (!run_status.ok()) {
-      if (run_status.code() == StatusCode::kDataLoss && reroutes < kMaxAppendReroutes) {
-        // Program failure mid-run: the segment is now a bad block. Re-drive the
-        // remainder of the batch into a fresh segment.
-        AbandonOpenSegment(head);
-        ++stats_.append_reroutes;
-        ++reroutes;
-        continue;
-      }
-      return run_status;
-    }
-    // Cover a just-completed stripe immediately (not lazily at the next append): a
-    // crash between the run and its parity page must cost at most one stripe's cover.
-    // The run itself is durable, so an emission failure must not fail the batch here;
-    // if requests remain, the next pass's leading emission surfaces the fault anyway.
-    if (const Status parity = EmitParityIfDue(head, issue_ns); !parity.ok()) {
-      IOSNAP_LOG(kWarning) << "log: trailing parity emission failed: " << parity;
-    }
-    if (h.open_segment.has_value() && device_->NextFreePage(seg) >= pages_per_segment) {
-      info.state = SegmentState::kClosed;
-      h.open_segment.reset();
-    }
-  }
-  return OkStatus();
 }
 
 std::vector<uint64_t> LogManager::ClosedSegments() const {

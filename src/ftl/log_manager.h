@@ -74,30 +74,37 @@ class LogManager {
   LogManager(NandDevice* device, uint64_t gc_reserve_segments,
              uint64_t parity_stripe = 0);
 
-  // Appends one record through `head`. Fails with kResourceExhausted when the head is
-  // not allowed to take another segment — the signal that cleaning must run. (Free
-  // segments are always pre-erased: factory-fresh or erased by ReleaseSegment.)
-  // A program failure (kDataLoss from the device) closes the now-bad open segment and
-  // re-drives the record into a fresh one, bounded by kMaxAppendReroutes.
+  // Bound on fresh segments a record tries when its programs keep failing. Each
+  // failure retires a whole segment, so consecutive failures are ppm^n-rare;
+  // exhausting the bound surfaces the device's kDataLoss to the caller.
+  static constexpr int kMaxAppendReroutes = 3;
+
+  // Every append runs through one loop (AppendRun). It closes a full segment, acquires
+  // a fresh one, writes parity due before and after the records, keeps each segment's
+  // accounting and its parity accumulator, and reroutes program failures. It fails
+  // with kResourceExhausted when the head may not take another segment: the signal
+  // that cleaning must run. (Free segments are always pre-erased: factory-fresh or
+  // erased by ReleaseSegment.) A program failure retires the segment (kDataLoss from
+  // the device); the loop abandons it and re-drives the failed record and the rest
+  // into a fresh one. Only a record's own failed programs spend its budget of
+  // kMaxAppendReroutes reroutes; a record that lands gives the next one a fresh budget.
+
+  // Appends one record through `head`.
   StatusOr<AppendResult> Append(int head, const PageHeader& header,
                                 std::span<const uint8_t> data, uint64_t issue_ns);
 
-  // One record of a vectored append.
-  struct AppendRequest {
-    PageHeader header;
-    std::span<const uint8_t> data;
-  };
+  // One record of a vectored append: a header and its optional payload, programmed as
+  // they are.
+  using AppendRequest = NandDevice::ProgramRequest;
 
   // Appends a batch through `head`, every record issued at `issue_ns` so the device
   // schedules the whole batch in one virtual-clock pass. Records are grouped into
-  // maximal segment runs (each run is one NandDevice::ProgramBatch); segment lifecycle
-  // and per-record accounting match record-by-record Append exactly. The caller should
-  // size the batch to fit the head's allowance (see ActiveHeadFreePages); a batch is
-  // not atomic. On any error, `results_out` holds one entry per record that WAS durably
-  // appended (a prefix of `requests`) — the caller must apply that prefix's effects
-  // before propagating the error. Program failures reroute to a fresh segment like
-  // Append, with the same kMaxAppendReroutes budget per record; a mid-batch crash
-  // returns kUnavailable with the torn prefix in place.
+  // maximal segment runs, each one NandDevice::ProgramBatch. The caller should size
+  // the batch to fit the head's allowance (see ActiveHeadFreePages); a batch is not
+  // atomic. On any error, `results_out` holds one entry per record that WAS durably
+  // appended (a prefix of `requests`); the caller must apply that prefix's effects
+  // before propagating the error. A mid-batch crash returns kUnavailable with the torn
+  // prefix in place.
   // `issue_at` (empty, or one non-decreasing time per record with issue_at[0] >=
   // issue_ns) staggers the records' issue times — the multi-queue path, where ops
   // admitted at different times commit as one batch.
@@ -108,11 +115,10 @@ class LogManager {
   // Appends one record through `head` by on-die copyback from `src_paddr` instead of a
   // host-supplied payload (NandDevice::CopybackPage; the stored bytes move verbatim).
   // `header` must be the source page's header — it is used only for segment accounting
-  // (min_seq/epoch), never re-programmed. Segment lifecycle matches Append, including
-  // reroute-on-program-failure bounded by kMaxAppendReroutes; a kDataLoss that did NOT
-  // retire the destination segment is a scrub-detected unreadable source and propagates
-  // immediately (rerouting cannot fix the source). kUnavailable (transient read
-  // failure) also propagates — the caller owns retry policy.
+  // (min_seq/epoch), never re-programmed. A kDataLoss that did NOT retire the
+  // destination segment is a scrub-detected unreadable source and propagates at once
+  // (rerouting cannot fix the source). kUnavailable (transient read failure) also
+  // propagates — the caller owns retry policy.
   StatusOr<AppendResult> AppendCopyback(int head, uint64_t src_paddr,
                                         const PageHeader& header, uint64_t issue_ns);
 
@@ -170,7 +176,8 @@ class LogManager {
   struct Head {
     std::optional<uint64_t> open_segment;
     // Running XOR of the open segment's member images since the last parity slot
-    // (src/nand/parity.h). Sized lazily; unused when parity_stripe is 0.
+    // (src/nand/parity.h). Sized when the head opens a segment; unused when
+    // parity_stripe is 0.
     std::vector<uint8_t> parity_xor;
     // True when the accumulator cannot be trusted (a reopened partial stripe held an
     // unreadable member): the stripe's parity page is written with trim_count = 0 so
@@ -178,16 +185,26 @@ class LogManager {
     bool parity_poisoned = false;
   };
 
-  // Bound on fresh segments tried per append when programs keep failing. Each failure
-  // retires a whole segment, so consecutive failures are ppm^n-rare; exhausting the
-  // bound surfaces the device's kDataLoss to the caller.
-  static constexpr int kMaxAppendReroutes = 3;
+  // The append loop behind Append, AppendBatch and AppendCopyback. Each record is a
+  // host payload, programmed as one NandDevice::ProgramBatch per segment run, or, with
+  // `copyback_src`, the one record is the header of the page CopybackPage moves from
+  // there.
+  Status AppendRun(int head, std::span<const AppendRequest> requests,
+                   std::optional<uint64_t> copyback_src, uint64_t issue_ns,
+                   std::span<const uint64_t> issue_at,
+                   std::vector<AppendResult>* results_out);
+  // AppendRun for one record, into member scratch so that it allocates nothing.
+  StatusOr<AppendResult> AppendOne(int head, const AppendRequest& request,
+                                   std::optional<uint64_t> copyback_src,
+                                   uint64_t issue_ns);
 
   // Takes the next free segment for a head.
   StatusOr<uint64_t> AcquireSegment(int head);
 
   Head& HeadFor(int head);
 
+  // Closes the head's open segment once its last page is programmed.
+  void CloseIfFull(Head& h);
   // Closes the open segment of `head` after a program failure so it is never appended
   // to again; the cleaner will later copy its live records off and retire it.
   void AbandonOpenSegment(int head);
@@ -196,16 +213,16 @@ class LogManager {
 
   // Clears the running XOR (start of a fresh stripe or segment).
   void ResetParity(Head& h);
-  // XORs the member image the device is about to store for (header, data) into the
-  // accumulator: the stored-payload decision and CRC stamp are recomputed host-side
-  // with the same rules the device applies, so the accumulator reflects programmed
-  // *intent* — parity is taken in the controller's buffer, before any cell-level
-  // corruption, which is exactly what lets a later rebuild reproduce clean bytes.
-  void AccumulateParity(Head& h, const PageHeader& header, std::span<const uint8_t> data);
-  // Copyback variant: the host never sees the payload, so the accumulator taps the
-  // source page's stored bytes (the modeled on-die XOR engine). In both variants a
-  // member with no image (XorMemberImage's kDataLoss) poisons the accumulator.
-  void AccumulateParityStored(Head& h, uint64_t src_paddr);
+  // XORs a record's member image, as the device stores it, into the accumulator. A
+  // host payload's stored form and CRC stamp are recomputed host-side with the rules
+  // the device applies, so the accumulator reflects programmed *intent*: parity is
+  // taken in the controller's buffer, before any cell-level corruption, which is
+  // exactly what lets a later rebuild reproduce clean bytes. A copyback's host never
+  // sees the payload, so the accumulator taps `copyback_src`'s stored bytes (the
+  // modeled on-die XOR engine). A member with no image (XorMemberImage's kDataLoss)
+  // poisons the accumulator.
+  void AccumulateParity(Head& h, const AppendRequest& record,
+                        std::optional<uint64_t> copyback_src);
   // Writes parity pages while the head's next free slot is a parity slot (at most two
   // in a row: a regular slot adjacent to the segment-final slot). A parity program
   // failure abandons the segment — positional parity cannot be re-driven elsewhere —
@@ -221,10 +238,10 @@ class LogManager {
   uint64_t use_counter_ = 0;
   LogStats stats_;
   TraceRecorder* trace_ = nullptr;
-  // AppendBatch scratch, reused so a one-record batch allocates nothing.
-  std::vector<NandDevice::ProgramRequest> batch_run_;
+  // AppendRun scratch, reused so a one-record append allocates nothing.
   std::vector<uint64_t> batch_paddrs_;
   std::vector<NandOp> batch_ops_;
+  std::vector<AppendResult> one_result_;
 };
 
 }  // namespace iosnap

@@ -125,10 +125,17 @@ NandOp NandDevice::Occupy(uint32_t channel, uint64_t issue_ns, uint64_t bus_ns,
 StatusOr<NandOp> NandDevice::ProgramPage(uint64_t segment, const PageHeader& header,
                                          std::span<const uint8_t> data, uint64_t issue_ns,
                                          uint64_t* paddr_out) {
+  const ProgramRequest request{header, data};
+  RETURN_IF_ERROR(ValidateProgram(segment, std::span<const ProgramRequest>(&request, 1)));
+  return ProgramCommit(segment, header, data, issue_ns, paddr_out);
+}
+
+Status NandDevice::ValidateProgram(uint64_t segment,
+                                   std::span<const ProgramRequest> requests) const {
   if (segment >= config_.num_segments) {
     return OutOfRange("program: segment " + std::to_string(segment) + " out of range");
   }
-  SegmentState& seg = segments_[segment];
+  const SegmentState& seg = segments_[segment];
   if (seg.bad) {
     return DataLoss("program: segment " + std::to_string(segment) +
                     " is a grown bad block");
@@ -137,13 +144,17 @@ StatusOr<NandOp> NandDevice::ProgramPage(uint64_t segment, const PageHeader& hea
     return FailedPrecondition("program: segment " + std::to_string(segment) +
                               " was never erased");
   }
-  if (seg.next_page >= config_.pages_per_segment) {
-    return ResourceExhausted("program: segment " + std::to_string(segment) + " is full");
+  if (seg.next_page + requests.size() > config_.pages_per_segment) {
+    return ResourceExhausted("program: " + std::to_string(requests.size()) +
+                             " pages overflow segment " + std::to_string(segment));
   }
-  if (!data.empty() && data.size() > MaxPayloadBytes(header.type)) {
-    return InvalidArgument("program: payload larger than a page");
+  for (const ProgramRequest& request : requests) {
+    if (!request.data.empty() &&
+        request.data.size() > MaxPayloadBytes(request.header.type)) {
+      return InvalidArgument("program: payload larger than a page");
+    }
   }
-  return ProgramCommit(segment, header, data, issue_ns, paddr_out);
+  return OkStatus();
 }
 
 StatusOr<NandOp> NandDevice::ProgramCommit(uint64_t segment, const PageHeader& header,
@@ -209,37 +220,11 @@ Status NandDevice::ProgramBatch(uint64_t segment, std::span<const ProgramRequest
                                 std::vector<NandOp>* ops_out,
                                 std::span<const uint64_t> issue_at) {
   IOSNAP_CHECK(issue_at.empty() || issue_at.size() == requests.size());
-  if (segment >= config_.num_segments) {
-    return OutOfRange("program-batch: segment " + std::to_string(segment) +
-                      " out of range");
-  }
-  const SegmentState& seg = segments_[segment];
-  if (seg.bad) {
-    return DataLoss("program-batch: segment " + std::to_string(segment) +
-                    " is a grown bad block");
-  }
-  if (!seg.erased) {
-    return FailedPrecondition("program-batch: segment " + std::to_string(segment) +
-                              " was never erased");
-  }
-  if (seg.next_page + requests.size() > config_.pages_per_segment) {
-    return ResourceExhausted("program-batch: batch of " +
-                             std::to_string(requests.size()) + " overflows segment " +
-                             std::to_string(segment));
-  }
-  for (const ProgramRequest& request : requests) {
-    if (!request.data.empty() &&
-        request.data.size() > MaxPayloadBytes(request.header.type)) {
-      return InvalidArgument("program-batch: payload larger than a page");
-    }
-  }
+  IOSNAP_CHECK(paddrs_out != nullptr && ops_out != nullptr);
+  RETURN_IF_ERROR(ValidateProgram(segment, requests));
 
-  if (paddrs_out != nullptr) {
-    paddrs_out->reserve(paddrs_out->size() + requests.size());
-  }
-  if (ops_out != nullptr) {
-    ops_out->reserve(ops_out->size() + requests.size());
-  }
+  paddrs_out->reserve(paddrs_out->size() + requests.size());
+  ops_out->reserve(ops_out->size() + requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     const ProgramRequest& request = requests[i];
     uint64_t paddr = 0;
@@ -251,12 +236,8 @@ Status NandDevice::ProgramBatch(uint64_t segment, std::span<const ProgramRequest
     if (!op.ok()) {
       return op.status();
     }
-    if (paddrs_out != nullptr) {
-      paddrs_out->push_back(paddr);
-    }
-    if (ops_out != nullptr) {
-      ops_out->push_back(*op);
-    }
+    paddrs_out->push_back(paddr);
+    ops_out->push_back(*op);
   }
   return OkStatus();
 }
@@ -314,23 +295,10 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
     return FailedPrecondition("copyback: page " + std::to_string(src_paddr) +
                               " is not programmed");
   }
-  if (dst_segment >= config_.num_segments) {
-    return OutOfRange("copyback: segment " + std::to_string(dst_segment) +
-                      " out of range");
-  }
+  // The destination takes a program's checks; the payload is already on the device.
+  const ProgramRequest copy{};
+  RETURN_IF_ERROR(ValidateProgram(dst_segment, std::span<const ProgramRequest>(&copy, 1)));
   SegmentState& seg = segments_[dst_segment];
-  if (seg.bad) {
-    return DataLoss("copyback: segment " + std::to_string(dst_segment) +
-                    " is a grown bad block");
-  }
-  if (!seg.erased) {
-    return FailedPrecondition("copyback: segment " + std::to_string(dst_segment) +
-                              " was never erased");
-  }
-  if (seg.next_page >= config_.pages_per_segment) {
-    return ResourceExhausted("copyback: segment " + std::to_string(dst_segment) +
-                             " is full");
-  }
   RETURN_IF_ERROR(fault_.BeginOp());
   const uint64_t dst_slot = seg.next_page;
   const uint64_t dst_paddr = FirstPageOf(dst_segment) + dst_slot;
@@ -338,6 +306,29 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
   const uint32_t dst_chan = ChannelOfPage(dst_paddr);
   const bool on_die = src_chan == dst_chan;
   const uint64_t leg_bus_ns = on_die ? 0 : config_.bus_ns_per_page;
+  // The move's occupancy, failed or not. On-die it never leaves the die: one channel
+  // occupancy covering sense + program, zero bus time. Across channels it is an
+  // internal read on the source channel chained into a program on the destination
+  // channel, reported as one combined op; because the program is issued exactly at the
+  // read's finish, summing the two legs' spans preserves the
+  // chan_wait+bus_wait+bus+cell == finish-issue invariant bit-exactly.
+  const auto occupy_move = [&]() {
+    if (on_die) {
+      return Occupy(src_chan, issue_ns, 0, config_.read_ns + config_.program_ns);
+    }
+    const NandOp read_op = Occupy(src_chan, issue_ns, leg_bus_ns, config_.read_ns);
+    const NandOp prog_op =
+        Occupy(dst_chan, read_op.finish_ns, leg_bus_ns, config_.program_ns);
+    NandOp op;
+    op.issue_ns = issue_ns;
+    op.finish_ns = prog_op.finish_ns;
+    op.chan_wait_ns = read_op.chan_wait_ns + prog_op.chan_wait_ns;
+    op.bus_wait_ns = read_op.bus_wait_ns + prog_op.bus_wait_ns;
+    op.bus_ns = read_op.bus_ns + prog_op.bus_ns;
+    op.cell_ns = read_op.cell_ns + prog_op.cell_ns;
+    op.bg_wait_ns = read_op.bg_wait_ns + prog_op.bg_wait_ns;
+    return op;
+  };
 
   // The internal source sense is still a data read: it disturbs the source segment.
   ApplyReadWear(src_paddr, issue_ns);
@@ -366,12 +357,7 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
   if (fault_.DrawProgramFail()) {
     MarkBad(dst_segment);
     ++stats_.program_failures;
-    if (on_die) {
-      Occupy(src_chan, issue_ns, 0, config_.read_ns + config_.program_ns);
-    } else {
-      const NandOp read_op = Occupy(src_chan, issue_ns, leg_bus_ns, config_.read_ns);
-      Occupy(dst_chan, read_op.finish_ns, leg_bus_ns, config_.program_ns);
-    }
+    occupy_move();
     if (trace_ != nullptr) {
       trace_->Record(TraceEventType::kFaultInjected, issue_ns, issue_ns,
                      kFaultKindProgram, dst_segment, fault_.ops());
@@ -412,28 +398,10 @@ StatusOr<NandOp> NandDevice::CopybackPage(uint64_t src_paddr, uint64_t dst_segme
   stats_.bytes_programmed += config_.page_size_bytes;
   ++stats_.copyback_pages;
 
-  NandOp op;
-  if (on_die) {
-    // The move never leaves the die: one channel occupancy covering sense + program,
-    // zero bus time.
-    op = Occupy(src_chan, issue_ns, 0, config_.read_ns + config_.program_ns);
-  } else {
-    // Cross-channel fallback: an internal read on the source channel chained into a
-    // program on the destination channel. Reported as one combined op; because the
-    // program is issued exactly at the read's finish, summing the two legs' spans
-    // preserves the chan_wait+bus_wait+bus+cell == finish-issue invariant bit-exactly.
+  if (!on_die) {
     ++stats_.copyback_fallbacks;
-    const NandOp read_op = Occupy(src_chan, issue_ns, leg_bus_ns, config_.read_ns);
-    const NandOp prog_op =
-        Occupy(dst_chan, read_op.finish_ns, leg_bus_ns, config_.program_ns);
-    op.issue_ns = issue_ns;
-    op.finish_ns = prog_op.finish_ns;
-    op.chan_wait_ns = read_op.chan_wait_ns + prog_op.chan_wait_ns;
-    op.bus_wait_ns = read_op.bus_wait_ns + prog_op.bus_wait_ns;
-    op.bus_ns = read_op.bus_ns + prog_op.bus_ns;
-    op.cell_ns = read_op.cell_ns + prog_op.cell_ns;
-    op.bg_wait_ns = read_op.bg_wait_ns + prog_op.bg_wait_ns;
   }
+  const NandOp op = occupy_move();
   if (trace_ != nullptr) {
     trace_->Record(TraceEventType::kNandCopyback, op.issue_ns, op.finish_ns, src_paddr,
                    dst_paddr, on_die ? 1 : 0);

@@ -96,7 +96,13 @@ class NandDevice {
 
   // --- Timed operations ---
 
-  // Programs the next free page of `segment`. Pages within a segment must be programmed in
+  // One page of a vectored program: header plus optional payload.
+  struct ProgramRequest {
+    PageHeader header;
+    std::span<const uint8_t> data;
+  };
+
+  // ProgramBatch's one-request case. Pages within a segment must be programmed in
   // order, so the device (not the caller) picks the page; the chosen physical address is
   // returned through `paddr_out`. `data` may be empty (header-only benchmarking mode).
   // Fails with kResourceExhausted if the segment is full and kFailedPrecondition if it has
@@ -104,12 +110,6 @@ class NandDevice {
   StatusOr<NandOp> ProgramPage(uint64_t segment, const PageHeader& header,
                                std::span<const uint8_t> data, uint64_t issue_ns,
                                uint64_t* paddr_out);
-
-  // One page of a vectored program: header plus optional payload.
-  struct ProgramRequest {
-    PageHeader header;
-    std::span<const uint8_t> data;
-  };
 
   // Programs `requests.size()` consecutive next-free pages of `segment`, all issued at
   // `issue_ns` in one virtual-clock pass: consecutive paddrs round-robin the channels,
@@ -137,9 +137,9 @@ class NandDevice {
   // back to an internal read + program that pays both bus transfers, reported as one
   // combined NandOp (the span invariant still holds bit-exactly). With
   // `config.copyback_scrub` the source CRC is re-verified first and a mismatch
-  // returns kDataLoss without programming anything. Fault gates mirror
-  // ReadCommit/ProgramCommit: transient read failures return kUnavailable (retryable),
-  // program failures retire the destination block and return kDataLoss.
+  // returns kDataLoss without programming anything. Fault gates mirror ReadPage and
+  // ProgramCommit: transient read failures return kUnavailable (retryable), program
+  // failures retire the destination block and return kDataLoss.
   StatusOr<NandOp> CopybackPage(uint64_t src_paddr, uint64_t dst_segment,
                                 uint64_t issue_ns, uint64_t* paddr_out);
 
@@ -328,6 +328,10 @@ class NandDevice {
   // Returns the completed NandOp with its span decomposition filled in (see NandOp).
   NandOp Occupy(uint32_t channel, uint64_t issue_ns, uint64_t bus_ns, uint64_t cell_ns);
 
+  // The program checks, run once per batch before anything is programmed: the segment
+  // exists, is neither bad nor unerased, has room for every request, and each payload
+  // fits a page.
+  Status ValidateProgram(uint64_t segment, std::span<const ProgramRequest> requests) const;
   // Post-validation single-page program body shared by ProgramPage and ProgramBatch.
   // It runs the fault gates: crash check, injected program failures and silent
   // corruption.

@@ -153,5 +153,85 @@ TEST(LogManagerTest, RebuildFromDeviceClassifiesSegments) {
   EXPECT_EQ(log.segment_info(0).epoch_pages.at(2), 1u);
 }
 
+uint64_t BadSegments(const NandDevice& dev) {
+  uint64_t bad = 0;
+  for (uint64_t s = 0; s < dev.config().num_segments; ++s) {
+    bad += dev.IsBadSegment(s) ? 1 : 0;
+  }
+  return bad;
+}
+
+// Every program fails, so a record spends its whole reroute budget, one fresh segment
+// per reroute, and then surfaces the device's kDataLoss.
+NandConfig EveryProgramFails() {
+  NandConfig config = TestNand();
+  config.fault.program_fail_ppm = 1000000;
+  return config;
+}
+
+// At 500,000 ppm, fault seed 10 draws one good program and then five failed ones.
+NandConfig OneProgramThenFailures() {
+  NandConfig config = TestNand();
+  config.fault.seed = 10;
+  config.fault.program_fail_ppm = 500000;
+  return config;
+}
+
+constexpr uint64_t kBudget = LogManager::kMaxAppendReroutes;
+
+TEST(LogManagerTest, AppendEndsInDataLossAfterItsRerouteBudget) {
+  NandDevice dev(EveryProgramFails());
+  LogManager log(&dev, 1);
+  EXPECT_EQ(log.Append(LogManager::kActiveHead, DataHeader(0, 0, 0), {}, 0).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(log.stats().append_reroutes, kBudget);
+  EXPECT_EQ(BadSegments(dev), kBudget + 1);
+}
+
+TEST(LogManagerTest, AppendBatchEndsInDataLossAfterItsRerouteBudget) {
+  NandDevice dev(EveryProgramFails());
+  LogManager log(&dev, 1);
+  std::vector<LogManager::AppendRequest> requests;
+  for (uint64_t i = 0; i < 3; ++i) {
+    requests.push_back({DataHeader(i, 0, i), {}});
+  }
+  std::vector<AppendResult> results;
+  EXPECT_EQ(log.AppendBatch(LogManager::kActiveHead, requests, 0, &results).code(),
+            StatusCode::kDataLoss);
+  EXPECT_TRUE(results.empty());
+  EXPECT_EQ(log.stats().append_reroutes, kBudget);
+  EXPECT_EQ(BadSegments(dev), kBudget + 1);
+}
+
+TEST(LogManagerTest, CopybackEndsInDataLossAfterItsRerouteBudget) {
+  NandDevice dev(OneProgramThenFailures());
+  LogManager log(&dev, 1);
+  const PageHeader header = DataHeader(0, 0, 0);
+  ASSERT_OK_AND_ASSIGN(AppendResult src, log.Append(LogManager::kActiveHead, header, {}, 0));
+  EXPECT_EQ(log.AppendCopyback(LogManager::kGcHead, src.paddr, header, 0).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(log.stats().append_reroutes, kBudget);
+  EXPECT_EQ(dev.stats().program_failures, kBudget + 1);
+  EXPECT_EQ(BadSegments(dev), kBudget + 1);
+}
+
+// A head reopened on a parity slot: the parity program fails and abandons the segment,
+// but only the record's own failed programs spend its budget.
+TEST(LogManagerTest, FailedLeadingParitySpendsNoReroute) {
+  NandDevice dev(OneProgramThenFailures());
+  // The one good program leaves segment 0's next free slot on a parity slot (stripe
+  // width 1 puts parity at slots 1 and 3).
+  ASSERT_OK(dev.ProgramPage(0, DataHeader(0, 0, 0), {}, 0, nullptr).status());
+  LogManager log(&dev, 1, /*parity_stripe=*/1);
+  log.RebuildFromDevice();
+  ASSERT_EQ(log.OpenSegment(LogManager::kActiveHead), std::optional<uint64_t>(0));
+  EXPECT_EQ(log.Append(LogManager::kActiveHead, DataHeader(1, 0, 1), {}, 0).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(log.stats().append_reroutes, kBudget);
+  EXPECT_EQ(log.stats().parity_pages_written, 0u);
+  EXPECT_EQ(dev.stats().program_failures, kBudget + 2);
+  EXPECT_EQ(BadSegments(dev), kBudget + 2);
+}
+
 }  // namespace
 }  // namespace iosnap

@@ -116,7 +116,9 @@ Observability:
   --trace_out=PATH       write a flight-recorder trace; .csv for CSV, anything
                          else for Chrome trace-event JSON (load in Perfetto)
   --trace_capacity=N     trace ring-buffer capacity in events    (default 262144)
-  --metrics_out=PATH     dump every FTL/NAND/validity counter; .csv or JSON
+  --metrics_out=PATH     dump every FTL/NAND/validity counter; .csv or JSON. With
+                         --crash_and_recover they are the run's, taken before the
+                         reopen
   --spans_out=PATH       write per-op latency attribution CSV (one row per op with
                          queue_wait/gc_wait/bus/cell/map/cow/host_other spans that
                          sum exactly to the end-to-end latency); also adds lat.*
@@ -558,6 +560,32 @@ int main(int argc, char** argv) {
                 result->timeline.ToCsv(MsToNs(100), "t_sec", "lat_us").c_str());
   }
 
+  // The metrics describe the run, so they are written before --crash_and_recover
+  // replaces `ftl` with the reopened one, whose counters start again at zero.
+  size_t metrics_written = 0;
+  if (!metrics_out.empty()) {
+    MetricsRegistry registry;
+    RegisterFtlStats(&registry, ftl->stats());
+    RegisterNandStats(&registry, ftl->device().stats());
+    RegisterNandBusGauges(&registry, ftl->device());
+    RegisterValidityStats(&registry, ftl->validity().stats());
+    RegisterLogStats(&registry, ftl->log_manager().stats());
+    RegisterIoQueueStats(&registry, GlobalIoQueueStats());
+    registry.RegisterHistogram("io_queue.completion_latency",
+                               &GlobalQueueCompletionHistogram());
+    if (result.ok()) {
+      registry.RegisterHistogram("run.latency", &result->latency);
+    }
+    if (attributor != nullptr) {
+      attributor->RegisterMetrics(&registry);
+    }
+    if (!registry.WriteFile(metrics_out)) {
+      std::fprintf(stderr, "failed to write --metrics_out=%s\n", metrics_out.c_str());
+      return 1;
+    }
+    metrics_written = registry.MetricCount();
+  }
+
   if (flags.GetBool("crash_and_recover", false)) {
     std::printf("\nsimulating crash + reopen...\n");
     std::unique_ptr<NandDevice> media = ftl->ReleaseDevice();
@@ -606,28 +634,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_out.empty()) {
-    MetricsRegistry registry;
-    RegisterFtlStats(&registry, ftl->stats());
-    RegisterNandStats(&registry, ftl->device().stats());
-    RegisterNandBusGauges(&registry, ftl->device());
-    RegisterValidityStats(&registry, ftl->validity().stats());
-    RegisterLogStats(&registry, ftl->log_manager().stats());
-    RegisterIoQueueStats(&registry, GlobalIoQueueStats());
-    registry.RegisterHistogram("io_queue.completion_latency",
-                               &GlobalQueueCompletionHistogram());
-    if (result.ok()) {
-      registry.RegisterHistogram("run.latency", &result->latency);
-    }
-    if (attributor != nullptr) {
-      attributor->RegisterMetrics(&registry);
-    }
-    if (registry.WriteFile(metrics_out)) {
-      std::printf("metrics: %zu metrics to %s\n", registry.MetricCount(),
-                  metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write --metrics_out=%s\n", metrics_out.c_str());
-      return 1;
-    }
+    std::printf("metrics: %zu metrics to %s\n", metrics_written, metrics_out.c_str());
   }
   if (!image_out.empty()) {
     // At-rest media snapshot for iosnap_fsck: taken after any reopen above, so the

@@ -23,6 +23,10 @@ Cases:
                    DATA_LOSS instead of aborting
   parity_rebuild   program-time corruption with parity on: every corrupt read is
                    rebuilt from its stripe, none fails or is lost
+  parity_program_faults  parity, copyback GC and program-failure reroutes in one run,
+                   then a release and reopen: the metrics (the run's, taken before
+                   the reopen) count reroutes, parity pages and copybacks, and fsck
+                   passes the saved image
   analyze_garbage  a span or trace CSV whose numeric field holds garbage: the
                    analyzer exits nonzero and names the column
   bad_geometry     a zero page size, segment size, channel count, bus count or
@@ -128,6 +132,21 @@ def parity_rebuild(tools):
             fail("%s = %s" % (name, m[name]))
 
 
+def parity_program_faults(tools):
+    run([tools.sim, "--workload=randwrite", "--device_mib=64", "--segment_pages=128",
+         "--ops=20000", "--snapshot_every=2000", "--lba_frac=0.4", "--buses=2",
+         "--copyback=1", "--parity_stripe=7", "--fault_seed=7",
+         "--fault_program_ppm=100", "--crash_and_recover",
+         "--metrics_out=parity_faults_metrics.json", "--image_out=parity_faults.img"], 0)
+    with open("parity_faults_metrics.json") as f:
+        m = json.load(f)
+    for name in ["log.append_reroutes", "log.parity_pages_written",
+                 "nand.copyback_pages"]:
+        if not m[name] > 0:
+            fail("%s = %s" % (name, m[name]))
+    run([tools.fsck, "--image=parity_faults.img"], 0)
+
+
 def analyze_garbage(tools):
     run([tools.sim, "--device_mib=64", "--ops=2000", "--workload=randwrite",
          "--spans_out=spans.csv", "--trace_out=trace.csv"], 0)
@@ -179,7 +198,7 @@ def bad_geometry(tools):
 
 CASES = {f.__name__: f for f in (observability, fault_sim, copyback_faults,
                                  fsck_repair, hostile_image, parity_rebuild,
-                                 analyze_garbage, bad_geometry)}
+                                 parity_program_faults, analyze_garbage, bad_geometry)}
 
 
 def main():
