@@ -42,16 +42,6 @@ bool SnapshotTree::InLineage(uint32_t epoch, uint32_t ancestor) const {
   return false;
 }
 
-std::vector<uint32_t> SnapshotTree::ChildrenOf(uint32_t epoch) const {
-  std::vector<uint32_t> out;
-  for (const auto& [e, parent] : parents_) {
-    if (parent == epoch) {
-      out.push_back(e);
-    }
-  }
-  return out;  // std::map iteration: ascending ids == creation order.
-}
-
 uint32_t SnapshotTree::AddSnapshot(uint32_t epoch, uint64_t create_seq, std::string name) {
   IOSNAP_CHECK(EpochExists(epoch));
   IOSNAP_CHECK(!snapshot_by_epoch_.contains(epoch));
