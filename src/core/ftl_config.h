@@ -42,8 +42,6 @@ struct FtlConfig {
   // the active epoch's estimate only (the vanilla rate policy, which under-budgets when
   // snapshotted cold data must move and causes foreground stalls).
   bool snapshot_aware_gc_rate = true;
-  // Max pages copy-forwarded per pacing burst.
-  uint64_t gc_pages_per_step = 16;
   // Relocate live pages via on-die copyback (NandDevice::CopybackPage) instead of a
   // host read + append: the data never crosses a transfer bus when source and
   // destination share a channel, so cleaning stops competing with foreground I/O for

@@ -57,8 +57,9 @@ TEST(FtlBasicTest, MapUpdateThreadsMustBeZero) {
             StatusCode::kInvalidArgument);
 }
 
-// A geometry that the device or the validity map cannot be built from is a config
-// error on both the create and the reopen path, not a CHECK in their constructors.
+// A geometry that the device, the log or the validity map cannot be built from is a
+// config error on both the create and the reopen path, not a CHECK in their
+// constructors. So is reopening a device with a config that describes another geometry.
 TEST(FtlBasicTest, BadGeometryIsInvalidArgument) {
   struct Case {
     const char* name;  // Appears in the error message.
@@ -74,6 +75,8 @@ TEST(FtlBasicTest, BadGeometryIsInvalidArgument) {
       {"page count exceeds", [](FtlConfig* c) { c->nand.num_segments = 1 << 20; }},
       {"channel or bus count exceeds", [](FtlConfig* c) { c->nand.buses = (1 << 16) + 1; }},
       {"4 GiB of payload", [](FtlConfig* c) { c->nand.page_size_bytes = uint64_t{1} << 32; }},
+      {"GC reserve consumes the whole device",
+       [](FtlConfig* c) { c->gc_reserve_segments = c->nand.num_segments; }},
   };
   for (const Case& c : cases) {
     FtlConfig config = SmallConfig();
@@ -86,6 +89,14 @@ TEST(FtlBasicTest, BadGeometryIsInvalidArgument) {
     EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument) << c.name;
     EXPECT_NE(opened.message().find(c.name), std::string::npos) << opened;
   }
+
+  FtlConfig smaller = SmallConfig();
+  smaller.nand.num_segments -= 1;
+  ASSERT_OK(Ftl::Create(smaller).status());
+  const Status opened =
+      Ftl::Open(smaller, std::make_unique<NandDevice>(SmallConfig().nand), 0).status();
+  EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.message().find("differs from the device"), std::string::npos) << opened;
 }
 
 TEST(FtlBasicTest, UnwrittenLbaReadsZeroes) {
