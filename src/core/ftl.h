@@ -382,11 +382,15 @@ class Ftl {
   StatusOr<AppendResult> RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
                                      std::vector<uint8_t>* data_out);
 
-  // Appends a snapshot note record. `aux_epoch` rides in the header's lba field: the
-  // successor/view epoch id for create/activate notes (explicit, so recovery does not
-  // depend on notes that a later tree summary consolidated away).
+  // Appends a snapshot note record through the active head, cleaning first when the
+  // head needs room. `aux_epoch` rides in the header's lba field: the successor/view
+  // epoch id for create/activate/rollback notes (explicit, so recovery does not depend
+  // on notes that a later tree summary consolidated away). `payload` is the snapshot
+  // name of a create note. Callers change the tree only after the note is durable, so a
+  // tree summary the cleaning writes never runs ahead of the notes.
   StatusOr<AppendResult> AppendNote(RecordType type, uint32_t snap_id, uint32_t epoch,
-                                    uint32_t aux_epoch, uint64_t issue_ns);
+                                    uint32_t aux_epoch, uint64_t issue_ns,
+                                    std::span<const uint8_t> payload = {});
 
   // Writes a consolidated snapshot-tree summary through `head` (§7-style checkpointed
   // metadata). All snapshot notes and summaries with lower sequence numbers become
