@@ -114,8 +114,10 @@ StatusOr<FsckReport> FsckDevice(NandDevice* device, uint64_t parity_stripe) {
   const uint64_t stripe = parity_stripe > 0 ? parity_stripe : inferred_stripe;
   report.parity_stripe = stripe;
 
-  // Pass 2 — full crash recovery, the same reconstruction a restart would run.
-  StatusOr<RecoveredState> recovered = RecoverFromDevice(device, 0);
+  // Pass 2 — full crash recovery, the same reconstruction a restart would run. The image
+  // does not record its LBA space, so LBAs are bounded by the device's page count.
+  StatusOr<RecoveredState> recovered =
+      RecoverFromDevice(device, device->config().TotalPages(), 0);
   if (!recovered.ok()) {
     report.recovery_ok = false;
     AddError(&report, "recovery failed: " + recovered.status().ToString());

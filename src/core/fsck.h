@@ -25,9 +25,11 @@
 //     non-data records are counted but are not errors: recovery provably does not
 //     need them.
 //
-// Known limitation: a page that was trimmed *and* later corrupted is still flagged as
+// Known limitations: a page that was trimmed *and* later corrupted is still flagged as
 // lost — trim notes kill map entries, not the supersession bound. Repair (the patrol
-// scrubber's ScrubAllBlocking) resolves either way by expunging the page.
+// scrubber's ScrubAllBlocking) resolves either way by expunging the page. And the image
+// does not record the FTL's LBA space, so a record whose LBA lies in the overprovision
+// (below the device's page count) passes; Ftl::Open, which knows the space, skips it.
 
 #ifndef SRC_CORE_FSCK_H_
 #define SRC_CORE_FSCK_H_
