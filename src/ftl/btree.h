@@ -13,10 +13,11 @@
 // tree is rebuilt. This mirrors production FTL maps, which tolerate fragmentation on the
 // hot path, and is precisely the fragmentation Table 3 observes.
 //
-// Nodes live in a slab arena with a pooled freelist: node allocation on the write path
-// is a bump (or freelist pop) instead of a malloc, Clear() recycles every slab, and the
-// whole map releases in O(slabs) at destruction. Node counts (and thus MemoryBytes(),
-// Table 3) are unchanged by the allocator.
+// Nodes live in a slab arena: node allocation on the write path is a bump instead of a
+// malloc, and the whole map releases in O(slabs) at destruction. No node is ever freed on
+// its own (Erase leaves emptied leaves in place, above); Clear() and BulkLoad recycle
+// every slab at once. Node counts (and thus MemoryBytes(), Table 3) are unchanged by the
+// allocator.
 //
 // Searches inside a node count keys rather than binary-search them: the number of keys
 // <= key selects the child, the number of keys < key is a leaf slot. On sorted keys these
@@ -48,30 +49,34 @@ class BPlusTree {
   BPlusTree(BPlusTree&& other) noexcept;
   BPlusTree& operator=(BPlusTree&& other) noexcept;
 
-  // Inserts or overwrites. Returns true if the key was new.
-  bool Insert(uint64_t key, uint64_t value);
+  // Inserts or overwrites one key: a one-entry InsertBatch. Returns true if the key was
+  // new.
+  bool Insert(uint64_t key, uint64_t value) {
+    const std::pair<uint64_t, uint64_t> entry(key, value);
+    return InsertBatch({&entry, 1}) == 1;
+  }
 
-  // Inserts or overwrites a batch, equivalent to calling Insert() entry by entry in
-  // submission order (duplicate keys chain: a later duplicate overwrites the earlier
-  // one's value). Returns the number of keys that were new. When `old_values` is
-  // non-null it receives, per input entry, the value that entry replaced — nullopt when
-  // the key was absent at that point.
+  // Inserts or overwrites a batch in submission order (duplicate keys chain: a later
+  // duplicate overwrites the earlier one's value). Returns the number of keys that were
+  // new. When `old_values` is non-null it receives, per input entry, the value that entry
+  // replaced — nullopt when the key was absent at that point.
   //
-  // The batch applies in submission order, so the resulting node layout (and
-  // MemoryBytes) is the one entry-by-entry Insert builds. A memoized root-to-leaf path
-  // lets ascending keys that stay inside the current subtree skip the descent, runs of
-  // ascending keys landing in one leaf gap are spliced with a single shift, and leaf
-  // splits push their separator up the memoized path instead of re-descending.
-  // Sequential LBA bursts — the FTL's common case — approach one tree search per leaf
-  // rather than per key.
+  // This is the tree's only insert routine. The batch applies in submission order, so
+  // the resulting node layout (and MemoryBytes) is the one that inserting the entries
+  // one at a time builds. A memoized root-to-leaf path lets ascending keys that stay
+  // inside the current subtree skip the descent, runs of ascending keys landing in one
+  // leaf gap are spliced with a single shift, and leaf splits push their separator up
+  // the memoized path instead of re-descending. Sequential LBA bursts — the FTL's common
+  // case — approach one tree search per leaf rather than per key.
   size_t InsertBatch(std::span<const std::pair<uint64_t, uint64_t>> entries,
                      std::vector<std::optional<uint64_t>>* old_values = nullptr);
 
   // Returns the mapped value, if present.
   std::optional<uint64_t> Lookup(uint64_t key) const;
 
-  // Removes a key. Returns true if it was present. No rebalancing (see file comment).
-  bool Erase(uint64_t key);
+  // Removes a key. Returns the value it mapped to, nullopt if it was absent. No
+  // rebalancing (see file comment).
+  std::optional<uint64_t> Erase(uint64_t key);
 
   void Clear();
 
@@ -139,9 +144,9 @@ class BPlusTree {
     InternalNode() : Node(/*leaf=*/false) {}
   };
 
-  // Slab allocator for tree nodes. Every cell is sized for the larger node type so the
-  // freelist is shared; nodes are trivially destructible, so freeing is a list push and
-  // Reset() can recycle all slabs without walking the tree.
+  // Slab allocator for tree nodes. Every cell is sized for the larger node type; nodes
+  // are trivially destructible, so Reset() can recycle all slabs without walking the
+  // tree.
   class NodeArena {
    public:
     static constexpr size_t kCellBytes =
@@ -150,29 +155,21 @@ class BPlusTree {
 
     NodeArena() = default;
     NodeArena(NodeArena&& other) noexcept
-        : slabs_(std::move(other.slabs_)), used_(other.used_), free_(other.free_) {
+        : slabs_(std::move(other.slabs_)), used_(other.used_) {
       other.slabs_.clear();
       other.used_ = 0;
-      other.free_ = nullptr;
     }
     NodeArena& operator=(NodeArena&& other) noexcept {
       if (this != &other) {
         slabs_ = std::move(other.slabs_);
         used_ = other.used_;
-        free_ = other.free_;
         other.slabs_.clear();
         other.used_ = 0;
-        other.free_ = nullptr;
       }
       return *this;
     }
 
     void* Allocate() {
-      if (free_ != nullptr) {
-        FreeCell* cell = free_;
-        free_ = cell->next;
-        return cell;
-      }
       const size_t slab = used_ / kCellsPerSlab;
       if (slab == slabs_.size()) {
         slabs_.push_back(std::make_unique<Cell[]>(kCellsPerSlab));
@@ -180,25 +177,16 @@ class BPlusTree {
       return &slabs_[slab][used_++ % kCellsPerSlab];
     }
 
-    void Free(void* p) { free_ = new (p) FreeCell{free_}; }
-
     // Recycles every cell; keeps the slabs for reuse.
-    void Reset() {
-      used_ = 0;
-      free_ = nullptr;
-    }
+    void Reset() { used_ = 0; }
 
    private:
     struct alignas(alignof(std::max_align_t)) Cell {
       unsigned char bytes[kCellBytes];
     };
-    struct FreeCell {
-      FreeCell* next;
-    };
 
     std::vector<std::unique_ptr<Cell[]>> slabs_;
-    size_t used_ = 0;     // Cells bump-allocated so far (freelist aside).
-    FreeCell* free_ = nullptr;
+    size_t used_ = 0;  // Cells bump-allocated so far.
   };
 
   LeafNode* NewLeaf() {
@@ -211,9 +199,6 @@ class BPlusTree {
   }
 
   LeafNode* FindLeaf(uint64_t key) const;
-  // Recursive insert; on split, *split_key / *new_node describe the new right sibling.
-  bool InsertRec(Node* node, uint64_t key, uint64_t value, uint64_t* split_key,
-                 Node** new_node);
   bool CheckRec(const Node* node, __int128 lower, __int128 upper, int depth,
                 int leaf_depth) const;
   int LeafDepth() const;
