@@ -96,7 +96,7 @@ uint64_t ActivationTask::BuildMap(uint64_t now_ns) {
   for (size_t i = 1; i < entries_.size(); ++i) {
     IOSNAP_CHECK(entries_[i].first != entries_[i - 1].first);
   }
-  const uint64_t host_ns = entries_.size() * ftl_->config_.host_build_ns_per_entry;
+  const uint64_t host_ns = entries_.size() * kHostBuildNsPerEntry;
 
   Ftl::View* view = ftl_->FindView(view_id_);
   IOSNAP_CHECK(view != nullptr);

@@ -19,6 +19,15 @@ enum class CleanerPolicy : uint8_t {
                   // segregates epochs onto per-class heads (§5.4.2 extension, ablation A1).
 };
 
+// Host CPU cost model: fixed costs, in ns, that the FTL charges on top of device time.
+inline constexpr uint64_t kHostMapLookupNs = 300;
+inline constexpr uint64_t kHostMapUpdateNs = 400;
+inline constexpr uint64_t kHostBitmapUpdateNs = 100;
+inline constexpr uint64_t kHostCowNsPerByte = 60;      // Validity-chunk CoW copy (Fig 7 spikes).
+inline constexpr uint64_t kHostMergeNsPerChunk = 500;  // Cleaner validity merge (Table 4).
+inline constexpr uint64_t kHostNoteNs = 2000;          // Snapshot-note bookkeeping.
+inline constexpr uint64_t kHostBuildNsPerEntry = 150;  // Activation map sort + bulk-load.
+
 struct FtlConfig {
   NandConfig nand;
 
@@ -111,15 +120,6 @@ struct FtlConfig {
   // Skip segments whose epoch summary proves they hold no lineage data (§7 future work:
   // precomputed metadata; ablation A3).
   bool activation_segment_index = false;
-
-  // --- Host CPU cost model (charged on top of device time) ---
-  uint64_t host_map_lookup_ns = 300;
-  uint64_t host_map_update_ns = 400;
-  uint64_t host_bitmap_update_ns = 100;
-  uint64_t host_cow_ns_per_byte = 60;      // Validity-chunk CoW copy (Fig 7 spikes).
-  uint64_t host_merge_ns_per_chunk = 500;  // Cleaner validity merge (Table 4).
-  uint64_t host_note_ns = 2000;            // Snapshot-note bookkeeping.
-  uint64_t host_build_ns_per_entry = 150;  // Activation map sort + bulk-load, per entry.
 
   uint64_t LbaCount() const {
     return static_cast<uint64_t>(static_cast<double>(nand.TotalPages()) *

@@ -91,7 +91,7 @@ std::optional<uint64_t> SegmentCleaner::SelectVictim(uint64_t now_ns) {
 
   const uint64_t merge_visits =
       ftl_->validity_.stats().merge_chunk_visits - merge_visits_before;
-  const uint64_t merge_ns = merge_visits * ftl_->config_.host_merge_ns_per_chunk;
+  const uint64_t merge_ns = merge_visits * kHostMergeNsPerChunk;
   ftl_->stats_.gc_merge_host_ns += merge_ns;
   ftl_->stats_.gc_total_host_ns += merge_ns;
   return best;
@@ -202,7 +202,7 @@ bool SegmentCleaner::BeginVictim(uint64_t seg_index, uint64_t now_ns) {
   }
   const uint64_t merge_visits =
       ftl_->validity_.stats().merge_chunk_visits - merge_visits_before;
-  const uint64_t merge_ns = merge_visits * ftl_->config_.host_merge_ns_per_chunk;
+  const uint64_t merge_ns = merge_visits * kHostMergeNsPerChunk;
   ftl_->stats_.gc_merge_host_ns += merge_ns;
   ftl_->stats_.gc_total_host_ns += merge_ns;
 
@@ -328,8 +328,8 @@ uint64_t SegmentCleaner::FinishRelocation(uint64_t paddr, const PageHeader& head
                                           bool* copied_data_page) {
   const uint64_t cow_bytes = ftl_->MovePage(live, ViewsForEpoch(header.epoch), header.lba,
                                             paddr, ar.paddr, now_ns);
-  const uint64_t cow_ns = cow_bytes * ftl_->config_.host_cow_ns_per_byte;
-  const uint64_t host_ns = live.size() * ftl_->config_.host_bitmap_update_ns + cow_ns;
+  const uint64_t cow_ns = cow_bytes * kHostCowNsPerByte;
+  const uint64_t host_ns = live.size() * kHostBitmapUpdateNs + cow_ns;
   ftl_->stats_.gc_total_host_ns += host_ns;
 
   ++ftl_->stats_.gc_pages_copied;

@@ -227,7 +227,6 @@ TEST(AttributionExactnessTest, ScalarOpKindsDecomposeAsDocumented) {
   std::unique_ptr<Ftl> ftl = std::move(ftl_or).value();
   LatencyAttributor attributor;
   ftl->SetLatencyAttributor(&attributor);
-  const FtlConfig& config = ftl->config();
 
   auto write = ftl->Write(5, {}, 0);
   ASSERT_TRUE(write.ok());
@@ -244,14 +243,13 @@ TEST(AttributionExactnessTest, ScalarOpKindsDecomposeAsDocumented) {
     EXPECT_EQ(record.spans.TotalNs(), record.complete_ns - record.issue_ns);
   }
   EXPECT_EQ(records[0].kind, LatencyOpKind::kWrite);
-  EXPECT_EQ(records[0].spans[LatencySpan::kMap],
-            config.host_map_lookup_ns + config.host_map_update_ns);
+  EXPECT_EQ(records[0].spans[LatencySpan::kMap], kHostMapLookupNs + kHostMapUpdateNs);
   EXPECT_GT(records[0].spans[LatencySpan::kCell], 0u);
   EXPECT_EQ(records[1].kind, LatencyOpKind::kRead);
-  EXPECT_EQ(records[1].spans[LatencySpan::kMap], config.host_map_lookup_ns);
+  EXPECT_EQ(records[1].spans[LatencySpan::kMap], kHostMapLookupNs);
   EXPECT_GT(records[1].spans[LatencySpan::kCell], 0u);
   // Unmapped read: zero device time, the map lookup is the whole latency.
-  EXPECT_EQ(records[2].TotalNs(), config.host_map_lookup_ns);
+  EXPECT_EQ(records[2].TotalNs(), kHostMapLookupNs);
   EXPECT_EQ(records[2].spans[LatencySpan::kCell], 0u);
   EXPECT_EQ(records[3].kind, LatencyOpKind::kTrim);
   EXPECT_GT(records[3].spans[LatencySpan::kHostOther], 0u);  // Trim note charge.

@@ -165,7 +165,7 @@ TEST(FtlBasicTest, LatencyIncludesHostAndDeviceTime) {
   ASSERT_OK_AND_ASSIGN(IoResult io, h.ftl().Write(0, data, 0));
   // At minimum: program + bus + map costs (first write also pays a segment erase).
   EXPECT_GE(io.LatencyNs(), config.nand.program_ns);
-  EXPECT_GE(io.host_ns, config.host_map_lookup_ns + config.host_map_update_ns);
+  EXPECT_GE(io.host_ns, kHostMapLookupNs + kHostMapUpdateNs);
 }
 
 TEST(FtlBasicTest, SustainedOverwriteTriggersCleaningAndPreservesData) {
