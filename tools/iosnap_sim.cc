@@ -107,10 +107,7 @@ Media reliability (wear model rates 0 = disabled):
   --degraded_free_floor=N    enter read-only mode below N free segments (0 = off)
   --degraded_retired_floor=N ... or at N retired segments       (default 0 = off)
   --degraded_exit_free=N     free segments needed to exit       (default 0 = floor)
-  --image_out=PATH       save the at-rest media image for iosnap_fsck; implies
-                         --store_data=1
-  --store_data=0|1       simulate page payloads (slower; lets wear corruption land
-                         in payloads so fsck triage is exact)   (default 0)
+  --image_out=PATH       save the at-rest media image for iosnap_fsck
 
 Observability:
   --trace_out=PATH       write a flight-recorder trace; .csv for CSV, anything
@@ -145,7 +142,7 @@ const std::vector<std::string> kKnownFlags = {
     "patrol", "patrol_pages_per_step", "patrol_sleep_ms", "patrol_refresh_reads",
     "patrol_refresh_age_ms",
     "degraded_free_floor", "degraded_retired_floor", "degraded_exit_free",
-    "image_out", "store_data",
+    "image_out",
     "trace_out", "trace_capacity", "metrics_out", "spans_out", "metrics_interval_ns",
     "metrics_series_out", "log_level", "help"};
 
@@ -343,11 +340,6 @@ int main(int argc, char** argv) {
   config.nand.buses = (uint32_t)flags.GetInt("buses", 1);
   config.nand.copyback_scrub = flags.GetBool("copyback_scrub", true);
   config.gc_copyback = flags.GetBool("copyback", false);
-  // Payloads are not simulated by default (headers alone carry the FTL state).
-  // Saving an image turns them on so wear corruption lands in payloads, keeping
-  // headers parseable for iosnap_fsck's exact lost-data triage.
-  const std::string image_out = flags.GetString("image_out", "");
-  config.nand.store_data = flags.GetBool("store_data", !image_out.empty());
   config.overprovision = flags.GetDouble("overprovision", 0.25);
   config.validity_chunk_bits = (uint64_t)flags.GetInt("chunk_bits", 8192);
   config.snapshots_enabled = !flags.GetBool("vanilla", false);
@@ -636,9 +628,10 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     std::printf("metrics: %zu metrics to %s\n", metrics_written, metrics_out.c_str());
   }
-  if (!image_out.empty()) {
+  if (const std::string image_out = flags.GetString("image_out", ""); !image_out.empty()) {
     // At-rest media snapshot for iosnap_fsck: taken after any reopen above, so the
-    // image reflects exactly what a restarted host would see.
+    // image reflects exactly what a restarted host would see. The workloads write
+    // header-only data pages, so a corrupt one's flip lands in its header (fsck.cc).
     Status saved = SaveNandImage(ftl->device(), image_out);
     if (!saved.ok()) {
       std::fprintf(stderr, "failed to write --image_out=%s: %s\n", image_out.c_str(),
