@@ -440,11 +440,12 @@ TEST(FaultCampaign, RandomFaultSoak) {
   EXPECT_EQ(live_set, expected);
 }
 
-// With GC copy-forward routed through on-die copyback, the host DMA that normally
-// verifies CRCs never happens — scrub-on-copyback is what stands between a silently
-// corrupted page and its unverified relocation. Corrupt one live page in place, force
-// the clean, and check the scrub drops exactly that page while every other live page
-// relocates via copyback.
+// A live page corrupted at rest never reaches the copyback scrub: the victim's header
+// scan fails its CRC (counting a crc error) and leaves it out of the victim's entries.
+// The cleaner salvages such a page before the erase; with parity off that is a drop of
+// every reference to it. Corrupt one live page in place, force the clean, and check the
+// page is dropped and accounted as lost while every other live page relocates via
+// copyback.
 TEST(FaultCampaign, CopybackScrubDropsCorruptSourceDuringClean) {
   FtlConfig config = TinyConfig();
   config.gc_copyback = true;  // copyback_scrub defaults on.
@@ -479,7 +480,7 @@ TEST(FaultCampaign, CopybackScrubDropsCorruptSourceDuringClean) {
     h.AdvanceTo(*finish);
   }
   const NandStats& n = h.ftl().device().stats();
-  EXPECT_GE(n.crc_errors, 1u);  // The scrub fired.
+  EXPECT_GE(n.crc_errors, 1u);  // The victim scan met the corrupt page.
   // Keep cleaning until a victim with healthy live pages comes up: those relocate
   // via copyback (the corrupt page's victim may have held no other live data).
   for (int round = 0; round < 8 && n.copyback_pages == 0; ++round) {
@@ -490,8 +491,11 @@ TEST(FaultCampaign, CopybackScrubDropsCorruptSourceDuringClean) {
     h.AdvanceTo(*finish);
   }
   EXPECT_GT(n.copyback_pages, 0u);
-  // The corrupt page was dropped, not relocated: lba 3 no longer serves version 1.
-  EXPECT_FALSE(h.CheckLba(kPrimaryView, 3, 1));
+  // The corrupt page was dropped, not relocated, and counted as lost: lba 3 reads
+  // zeroes.
+  EXPECT_EQ(h.ftl().stats().gc_pages_lost, 1u);
+  EXPECT_EQ(h.ftl().stats().pages_lost_forever, 1u);
+  EXPECT_TRUE(h.CheckLba(kPrimaryView, 3, 0));
   // Everything else survived the copyback clean intact.
   for (uint64_t lba = 0; lba < kLbaSpace; ++lba) {
     if (lba != 3) {
@@ -501,6 +505,65 @@ TEST(FaultCampaign, CopybackScrubDropsCorruptSourceDuringClean) {
   ASSERT_TRUE(h.ftl().validity().VerifyCounters());
   ASSERT_OK(h.Write(3, 5));
   ASSERT_TRUE(h.CheckLba(kPrimaryView, 3, 5));
+}
+
+// With parity off, a live page that fails its CRC at rest has no copy to rebuild from,
+// so cleaning its segment must drop every reference to it before the erase. A forward
+// map entry left behind would name an erased page, and once the segment is reused,
+// another LBA's data, which a read would then return with an OK status. Both GC modes
+// take the same salvage step.
+TEST(FaultCampaign, CleanerDropsScanExcludedCorruptPageWithParityOff) {
+  for (const bool copyback : {false, true}) {
+    SCOPED_TRACE(copyback ? "copyback GC" : "classic GC");
+    FtlConfig config = TinyConfig();
+    config.gc_copyback = copyback;
+    ASSERT_EQ(config.parity_stripe, 0u);
+    FtlHarness h(config);
+    constexpr uint64_t kLbas = 64;
+    for (uint64_t lba = 0; lba < kLbas; ++lba) {
+      ASSERT_OK(h.Write(lba, 1));
+    }
+    for (uint64_t lba = 0; lba < kLbas; ++lba) {
+      if (lba != 3) {
+        ASSERT_OK(h.Write(lba, 2));
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(auto entries, h.ftl().ViewMapEntries(kPrimaryView));
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [](const auto& entry) { return entry.first == 3; });
+    ASSERT_NE(it, entries.end());
+    const uint64_t corrupt_paddr = it->second;
+    h.ftl().MutableDeviceForTesting().CorruptPageForTesting(corrupt_paddr);
+
+    // Clean until the corrupt page's segment has been erased.
+    const NandDevice& device = h.ftl().device();
+    const uint64_t segment = device.SegmentOf(corrupt_paddr);
+    const uint64_t erases = device.EraseCount(segment);
+    for (int round = 0; round < 16 && device.EraseCount(segment) == erases; ++round) {
+      ASSERT_OK_AND_ASSIGN(const uint64_t finish, h.ftl().ForceCleanSegment(h.now()));
+      h.AdvanceTo(finish);
+    }
+    ASSERT_GT(device.EraseCount(segment), erases);
+
+    // Rewrite the other LBAs five more times, so the erased segment is reused.
+    for (uint64_t version = 3; version < 8; ++version) {
+      for (uint64_t lba = 0; lba < kLbas; ++lba) {
+        if (lba != 3) {
+          ASSERT_OK(h.Write(lba, version));
+        }
+      }
+    }
+
+    EXPECT_TRUE(h.CheckLba(kPrimaryView, 3, 0));
+    for (uint64_t lba = 0; lba < kLbas; ++lba) {
+      if (lba != 3) {
+        ASSERT_TRUE(h.CheckLba(kPrimaryView, lba, 7));
+      }
+    }
+    EXPECT_EQ(h.ftl().stats().gc_pages_lost, 1u);
+    EXPECT_EQ(h.ftl().stats().pages_lost_forever, 1u);
+    EXPECT_TRUE(h.ftl().validity().VerifyCounters());
+  }
 }
 
 // A propagating error mid-clean (here: the device goes offline, so every copyback
