@@ -681,7 +681,6 @@ StatusOr<SnapshotOpResult> Ftl::CreateSnapshot(std::string name, uint64_t issue_
   const uint64_t cow_bytes = validity_.ForkEpoch(new_epoch, frozen_epoch);
   active_epoch_ = new_epoch;
   FindView(kPrimaryView)->epoch = new_epoch;
-  ++epoch_set_version_;
 
   ++stats_.snapshots_created;
 
@@ -716,7 +715,6 @@ StatusOr<IoResult> Ftl::DeleteSnapshot(uint32_t snap_id, uint64_t issue_ns) {
   // The frozen validity view goes away; shared chunks survive via their other refs and
   // the epoch's exclusive blocks become garbage at the next clean of their segments.
   validity_.DropEpoch(info.epoch);
-  ++epoch_set_version_;
   ++stats_.snapshots_deleted;
 
   IoResult result;
@@ -759,7 +757,6 @@ StatusOr<uint64_t> Ftl::RollbackToSnapshot(uint32_t snap_id, uint64_t issue_ns) 
   primary->epoch = new_epoch;
   primary->ready = false;
   active_epoch_ = new_epoch;
-  ++epoch_set_version_;
 
   // Rebuild the primary forward map with the standard activation scan (same cost
   // profile, same compact bulk-loaded result).
@@ -812,7 +809,6 @@ StatusOr<uint32_t> Ftl::BeginActivation(uint32_t snap_id, RateLimit limit, uint6
   const uint32_t view_epoch = tree_.NewEpoch(info.epoch);
   validity_.NoteTimeNs(issue_ns);
   validity_.ForkEpoch(view_epoch, info.epoch);
-  ++epoch_set_version_;
 
   View view;
   view.view_id = next_view_id_++;
@@ -875,7 +871,6 @@ Status Ftl::Deactivate(uint32_t view_id, uint64_t issue_ns) {
   }
   validity_.DropEpoch(view->epoch);
   views_.erase(view_id);
-  ++epoch_set_version_;
   ++stats_.deactivations;
   return OkStatus();
 }
@@ -989,39 +984,28 @@ StatusOr<std::vector<std::pair<uint64_t, uint64_t>>> Ftl::ViewMapEntries(
   return view->map.ToSortedVector();
 }
 
-std::vector<uint32_t> Ftl::ViewsInLineage(uint32_t epoch) const {
-  std::vector<uint32_t> ids;
-  for (const auto& [id, view] : views_) {
-    if (tree_.InLineage(view.epoch, epoch)) {
-      ids.push_back(id);
-    }
-  }
-  return ids;
-}
-
-uint64_t Ftl::MovePage(const std::vector<uint32_t>& live, std::span<const uint32_t> views,
-                       uint64_t lba, uint64_t old_paddr, uint64_t new_paddr,
+uint64_t Ftl::MovePage(uint64_t lba, uint64_t old_paddr, uint64_t new_paddr,
                        uint64_t note_ns) {
   validity_.NoteTimeNs(note_ns);
-  const uint64_t cow_bytes = validity_.MoveBit(live, old_paddr, new_paddr);
+  const uint64_t cow_bytes = validity_.MoveBit(old_paddr, new_paddr);
   // Let in-flight activation scans know the page moved.
   if (!activations_.empty()) {
     gc_relocations_.emplace_back(lba, new_paddr);
   }
-  for (uint32_t view_id : views) {
-    BPlusTree& map = FindView(view_id)->map;
-    const std::optional<uint64_t> mapped = map.Lookup(lba);
+  // Only views of the record's lineage can name the page; the address check finds them.
+  for (auto& [id, view] : views_) {
+    const std::optional<uint64_t> mapped = view.map.Lookup(lba);
     if (mapped.has_value() && *mapped == old_paddr) {
-      map.Insert(lba, new_paddr);
+      view.map.Insert(lba, new_paddr);
     }
   }
   return cow_bytes;
 }
 
-bool Ftl::DropPage(const std::vector<uint32_t>& live, uint64_t paddr, uint64_t note_ns) {
+bool Ftl::DropPage(uint64_t paddr, uint64_t note_ns) {
   validity_.NoteTimeNs(note_ns);
   bool was_live = false;
-  for (uint32_t epoch : live) {
+  for (uint32_t epoch : validity_.Epochs()) {
     if (validity_.Test(epoch, paddr)) {
       validity_.ClearValid(epoch, paddr);
       was_live = true;
@@ -1041,6 +1025,23 @@ bool Ftl::DropPage(const std::vector<uint32_t>& live, uint64_t paddr, uint64_t n
     }
   }
   return was_live;
+}
+
+StatusOr<Ftl::Salvage> Ftl::SalvagePage(uint64_t paddr, uint64_t now_ns) {
+  if (config_.parity_stripe > 0) {
+    StatusOr<AppendResult> rebuilt = RebuildPage(paddr, now_ns, nullptr);
+    if (rebuilt.ok()) {
+      return Salvage{.finish_ns = rebuilt->op.finish_ns, .rebuilt = true};
+    }
+    if (rebuilt.status().code() != StatusCode::kDataLoss) {
+      return rebuilt.status();
+    }
+  }
+  // A page nothing referenced anymore was merely superseded; one still live in some
+  // epoch is user-visible loss.
+  const bool was_live = DropPage(paddr, now_ns);
+  ++(was_live ? stats_.pages_lost_forever : stats_.pages_superseded);
+  return Salvage{.finish_ns = now_ns, .was_live = was_live};
 }
 
 StatusOr<AppendResult> Ftl::RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
@@ -1118,8 +1119,7 @@ StatusOr<AppendResult> Ftl::RebuildPage(uint64_t old_paddr, uint64_t issue_ns,
                                                 decoded->payload, t));
   ++stats_.total_pages_programmed;
   if (decoded->header.type == RecordType::kData) {
-    MovePage(LiveEpochs(), ViewsInLineage(decoded->header.epoch), decoded->header.lba,
-             old_paddr, ar.paddr, ar.op.finish_ns);
+    MovePage(decoded->header.lba, old_paddr, ar.paddr, ar.op.finish_ns);
   }
 
   ++stats_.pages_rebuilt;

@@ -284,7 +284,9 @@ class Ftl {
   // All (lba, paddr) pairs of a ready view in LBA order (snapshot diffing, archival).
   StatusOr<std::vector<std::pair<uint64_t, uint64_t>>> ViewMapEntries(
       uint32_t view_id) const;
-  // Epochs whose validity participates in cleaning right now.
+  // Epochs whose validity participates in cleaning right now: the tree's live snapshot
+  // epochs and every view's epoch, ascending. The validity map registers exactly these,
+  // which SnapshotSpaceReport CHECKs; page moves and drops read the map's set.
   std::vector<uint32_t> LiveEpochs() const;
 
   // Space accounting for one snapshot: how many physical pages it references in total,
@@ -304,23 +306,28 @@ class Ftl {
   // The copy-forward rule (§5.4) for a data page the caller re-appended from
   // `old_paddr` to `new_paddr` with its (lba, epoch, seq) identity, shared by the
   // cleaner, parity rebuild and the patrol refresh: moves the page's validity bit in
-  // every epoch of `live`, journals the move for in-flight activation scans, and
-  // repoints each view of `views` whose map still names the old page. The caller passes
-  // the live epochs and the candidate views (ViewsInLineage of the record's epoch), so
-  // the cleaner can serve both from its per-victim caches. `note_ns` stamps the
-  // validity map's CoW events. Returns the bytes the move's CoW copied.
-  uint64_t MovePage(const std::vector<uint32_t>& live, std::span<const uint32_t> views,
-                    uint64_t lba, uint64_t old_paddr, uint64_t new_paddr, uint64_t note_ns);
-  // Drops a page nothing can copy forward: clears it in every epoch of `live` and
-  // erases every forward-map entry, in any view, still pointing at it. The maps are
-  // swept by physical address because a corrupt stored header cannot be trusted to
-  // name the right lba; a dangling entry would survive the segment erase, and a later
-  // read of the real lba would hit an unprogrammed page. Returns whether some live
-  // epoch still held the page.
-  bool DropPage(const std::vector<uint32_t>& live, uint64_t paddr, uint64_t note_ns);
-  // Views whose epoch lineage includes `epoch`: the only forward maps that can name a
-  // record of that epoch.
-  std::vector<uint32_t> ViewsInLineage(uint32_t epoch) const;
+  // every live epoch (ValidityMap::MoveBit), journals the move for in-flight activation
+  // scans, and repoints each view whose map still names the old page. `note_ns` stamps
+  // the validity map's CoW events. Returns the bytes the move's CoW copied.
+  uint64_t MovePage(uint64_t lba, uint64_t old_paddr, uint64_t new_paddr, uint64_t note_ns);
+  // Drops a page nothing can copy forward: clears it in every live epoch and erases
+  // every forward-map entry, in any view, still pointing at it. The maps are swept by
+  // physical address because a corrupt stored header cannot be trusted to name the
+  // right lba; a dangling entry would survive the segment erase, and a later read of
+  // the real lba would hit an unprogrammed page. Returns whether some live epoch still
+  // held the page.
+  bool DropPage(uint64_t paddr, uint64_t note_ns);
+  // The salvage rule for a page whose stored CRC failed, shared by the cleaner and the
+  // patrol: with parity on, rebuild it from its stripe (RebuildPage); when parity is
+  // off or the stripe cannot help, drop it (DropPage) and count it in
+  // pages_lost_forever if some live epoch still held it, else in pages_superseded. A
+  // rebuild error other than kDataLoss propagates.
+  struct Salvage {
+    uint64_t finish_ns = 0;  // The rebuild's finish, or `now_ns` after a drop.
+    bool rebuilt = false;
+    bool was_live = false;  // Dropped while some live epoch still held the page.
+  };
+  StatusOr<Salvage> SalvagePage(uint64_t paddr, uint64_t now_ns);
 
   struct View {
     uint32_t view_id = 0;
@@ -413,10 +420,6 @@ class Ftl {
   uint64_t seq_counter_ = 0;
   uint32_t active_epoch_ = kRootEpoch;
   uint32_t next_view_id_ = 1;
-  // Bumped whenever the live-epoch set changes (snapshot create/delete, activation
-  // begin/end, rollback). The cleaner keys its per-victim caches (live-epoch list,
-  // lineage-filtered view lists) off this so they refresh exactly when stale.
-  uint64_t epoch_set_version_ = 0;
   std::map<uint32_t, View> views_;
 
   std::unique_ptr<SegmentCleaner> cleaner_;

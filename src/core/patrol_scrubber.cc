@@ -31,28 +31,15 @@ StatusOr<uint64_t> PatrolScrubber::RebuildOrDrop(uint64_t paddr, uint64_t now_ns
                                                  bool* segment_dirty) {
   // The corrupt original is expunged only when its segment is erased.
   *segment_dirty = true;
-  if (ftl_->config_.parity_stripe > 0) {
-    StatusOr<AppendResult> rebuilt = ftl_->RebuildPage(paddr, now_ns, nullptr);
-    if (rebuilt.ok()) {
-      return rebuilt->op.finish_ns;
-    }
-    if (rebuilt.status().code() != StatusCode::kDataLoss) {
-      return rebuilt.status();
-    }
-  }
-  // The stored header may itself be corrupt (garbage lba), so DropPage sweeps the
-  // forward maps by physical address.
-  if (ftl_->DropPage(ftl_->LiveEpochs(), paddr, now_ns)) {
+  ASSIGN_OR_RETURN(const Ftl::Salvage salvage, ftl_->SalvagePage(paddr, now_ns));
+  if (salvage.was_live) {
     ++ftl_->stats_.patrol_pages_dropped;
-    ++ftl_->stats_.pages_lost_forever;
     if (ftl_->trace_ != nullptr) {
       ftl_->trace_->Record(TraceEventType::kPatrolDrop, now_ns, now_ns,
                            ftl_->device_->InspectPage(paddr).header.lba, paddr);
     }
-  } else {
-    ++ftl_->stats_.pages_superseded;
   }
-  return now_ns;
+  return salvage.finish_ns;
 }
 
 StatusOr<uint64_t> PatrolScrubber::RewritePage(uint64_t paddr, uint64_t now_ns,
@@ -78,8 +65,7 @@ StatusOr<uint64_t> PatrolScrubber::RewritePage(uint64_t paddr, uint64_t now_ns,
   // attribute the page correctly.
   ASSIGN_OR_RETURN(AppendResult ar,
                    ftl_->log_.Append(LogManager::kGcHead, header, data, read->finish_ns));
-  ftl_->MovePage(ftl_->LiveEpochs(), ftl_->ViewsInLineage(header.epoch), header.lba, paddr,
-                 ar.paddr, now_ns);
+  ftl_->MovePage(header.lba, paddr, ar.paddr, now_ns);
 
   ++ftl_->stats_.patrol_pages_rewritten;
   ++ftl_->stats_.total_pages_programmed;

@@ -61,11 +61,11 @@ class PatrolScrubber {
   // read reveals the page is corrupt. Returns the device finish time.
   StatusOr<uint64_t> RewritePage(uint64_t paddr, uint64_t now_ns, bool* segment_dirty);
 
-  // Handles a CRC-failed page and sets *segment_dirty: with parity on, rebuilds it
-  // from its stripe; when the stripe cannot help, or parity is off, drops every
-  // reference to it (Ftl::DropPage) so nothing resolves to it once its segment is
-  // evacuated. Returns the rebuild's finish time, or `now_ns` after a drop; a rebuild
-  // error other than kDataLoss propagates.
+  // Handles a CRC-failed page and sets *segment_dirty: salvages it (Ftl::SalvagePage:
+  // a rebuild from its stripe, else a drop of every reference, so nothing resolves to
+  // it once its segment is evacuated) and counts a drop of a live page in
+  // patrol_pages_dropped. Returns the rebuild's finish time, or `now_ns` after a drop;
+  // a rebuild error other than kDataLoss propagates.
   StatusOr<uint64_t> RebuildOrDrop(uint64_t paddr, uint64_t now_ns, bool* segment_dirty);
 
   // True when the live page at `paddr` crossed a refresh threshold (segment read

@@ -37,6 +37,7 @@ void ValidityMap::CreateEpoch(uint32_t epoch) {
   IOSNAP_CHECK(!epochs_.contains(epoch));
   epochs_.emplace(epoch, EpochTable{std::vector<ChunkRef>(num_chunks_),
                                     std::vector<uint64_t>(NumRanges(), 0)});
+  epoch_ids_.insert(std::upper_bound(epoch_ids_.begin(), epoch_ids_.end(), epoch), epoch);
 }
 
 uint64_t ValidityMap::ForkEpoch(uint32_t child, uint32_t parent) {
@@ -69,6 +70,7 @@ uint64_t ValidityMap::ForkEpoch(uint32_t child, uint32_t parent) {
   }
   stats_.cow_bytes_copied += copied_bytes;
   epochs_.emplace(child, std::move(table));
+  epoch_ids_.insert(std::upper_bound(epoch_ids_.begin(), epoch_ids_.end(), child), child);
   return copied_bytes;
 }
 
@@ -85,19 +87,10 @@ void ValidityMap::DropEpoch(uint32_t epoch) {
     }
   }
   epochs_.erase(it);
+  epoch_ids_.erase(std::lower_bound(epoch_ids_.begin(), epoch_ids_.end(), epoch));
 }
 
 bool ValidityMap::HasEpoch(uint32_t epoch) const { return epochs_.contains(epoch); }
-
-std::vector<uint32_t> ValidityMap::Epochs() const {
-  std::vector<uint32_t> out;
-  out.reserve(epochs_.size());
-  for (const auto& [epoch, table] : epochs_) {
-    out.push_back(epoch);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 void ValidityMap::RegistryAddRef(uint64_t chunk_index, const Chunk* chunk) {
   // Adding a reference never changes the merged OR: a chunk entering the registry is
@@ -490,11 +483,10 @@ bool ValidityMap::VerifyCounters() const {
   }
 
   // Merged per-range counters against a registry-independent recount over all epochs.
-  std::vector<uint32_t> all_epochs = Epochs();
   for (uint64_t r = 0; r < NumRanges(); ++r) {
     const uint64_t begin = r * range_pages_;
     const uint64_t end = std::min(begin + range_pages_, total_pages_);
-    const uint64_t expect = CountValidInRange(all_epochs, begin, end);
+    const uint64_t expect = CountValidInRange(epoch_ids_, begin, end);
     if (MergedValidCount(r) != expect) {
       IOSNAP_LOG(kError) << "[validity] VerifyCounters: range " << r << " merged count "
                          << merged_count_[r] << " != recount " << expect;
@@ -504,17 +496,13 @@ bool ValidityMap::VerifyCounters() const {
   return ok;
 }
 
-uint64_t ValidityMap::MoveBit(const std::vector<uint32_t>& epochs, uint64_t from, uint64_t to) {
+uint64_t ValidityMap::MoveBit(uint64_t from, uint64_t to) {
   IOSNAP_CHECK(from < total_pages_ && to < total_pages_);
   const uint64_t ci = ChunkIndex(from);
   const uint64_t bit = BitInChunk(from);
   uint64_t cow_bytes = 0;
-  for (uint32_t epoch : epochs) {
-    auto epoch_it = epochs_.find(epoch);
-    if (epoch_it == epochs_.end()) {
-      continue;
-    }
-    EpochTable* table = &epoch_it->second;
+  for (uint32_t epoch : epoch_ids_) {
+    EpochTable* table = &TableOf(epoch);
     const Chunk* chunk = table->chunks[ci].get();
     if (chunk == nullptr || !chunk->bits.Test(bit)) {
       continue;

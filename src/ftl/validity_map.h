@@ -104,7 +104,8 @@ class ValidityMap {
   void DropEpoch(uint32_t epoch);
 
   bool HasEpoch(uint32_t epoch) const;
-  std::vector<uint32_t> Epochs() const;
+  // The registered epoch ids, ascending. The FTL registers exactly its live epochs.
+  const std::vector<uint32_t>& Epochs() const { return epoch_ids_; }
 
   // --- Bit operations ---
 
@@ -179,10 +180,10 @@ class ValidityMap {
   // false and logs details on any mismatch. O(epochs x chunks); debug/test use only.
   bool VerifyCounters() const;
 
-  // Moves a valid bit from `from` to `to` in every listed epoch that has it set (segment
-  // cleaner copy-forward fix-up, §5.4.3 "move and reset validity bits"). Returns bytes
-  // CoW-copied in the process.
-  uint64_t MoveBit(const std::vector<uint32_t>& epochs, uint64_t from, uint64_t to);
+  // Moves a valid bit from `from` to `to` in every registered epoch that has it set, in
+  // ascending epoch order (segment cleaner copy-forward fix-up, §5.4.3 "move and reset
+  // validity bits"). Returns bytes CoW-copied in the process.
+  uint64_t MoveBit(uint64_t from, uint64_t to);
 
   // --- Accounting ---
 
@@ -312,6 +313,7 @@ class ValidityMap {
   uint64_t range_pages_;
   uint64_t num_chunks_;
   std::unordered_map<uint32_t, EpochTable> epochs_;
+  std::vector<uint32_t> epoch_ids_;  // The keys of epochs_, ascending.
   // Distinct-chunk registry + cached merge planes, by chunk index. Mutable: planes are
   // rebuilt lazily from const queries.
   mutable std::vector<RegistryEntry> registry_;

@@ -131,13 +131,30 @@ TEST(ValidityMapTest, MoveBitUpdatesEveryReferencingEpoch) {
   vm.ForkEpoch(2, 1);
   vm.ClearValid(2, 30);  // Epoch 2 no longer references page 30.
 
-  vm.MoveBit({0, 1, 2}, 30, 500);
+  vm.MoveBit(30, 500);
   EXPECT_FALSE(vm.Test(0, 30));
   EXPECT_TRUE(vm.Test(0, 500));
   EXPECT_FALSE(vm.Test(1, 30));
   EXPECT_TRUE(vm.Test(1, 500));
   EXPECT_FALSE(vm.Test(2, 30));
   EXPECT_FALSE(vm.Test(2, 500));  // Was not referencing: stays clear.
+}
+
+// Epochs() is the registered set in ascending order whatever the order of creation,
+// forks and drops.
+TEST(ValidityMapTest, EpochsListsRegisteredIdsAscending) {
+  ValidityMap vm(1024, 64);
+  EXPECT_TRUE(vm.Epochs().empty());
+  vm.CreateEpoch(7);
+  vm.ForkEpoch(2, 7);
+  vm.ForkEpoch(9, 2);
+  vm.CreateEpoch(4);
+  EXPECT_EQ(vm.Epochs(), (std::vector<uint32_t>{2, 4, 7, 9}));
+  vm.DropEpoch(7);
+  vm.DropEpoch(2);
+  EXPECT_EQ(vm.Epochs(), (std::vector<uint32_t>{4, 9}));
+  vm.ForkEpoch(5, 9);
+  EXPECT_EQ(vm.Epochs(), (std::vector<uint32_t>{4, 5, 9}));
 }
 
 TEST(ValidityMapTest, ForEachValidVisitsAscending) {
