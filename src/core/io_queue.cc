@@ -259,9 +259,7 @@ void IoQueueLayer::DeliverOne(IoCompletion&& c, std::vector<IoCompletion>* out) 
   --g.inflight_ops;
   ++per_queue_[c.queue].ops_completed;
   if (c.status.ok()) {
-    const uint64_t latency = c.result.LatencyNs();
-    completion_hist_.Add(latency);
-    GlobalQueueCompletionHistogram().Add(latency);
+    GlobalQueueCompletionHistogram().Add(c.result.LatencyNs());
   } else {
     ++stats_.ops_failed;
     ++g.ops_failed;

@@ -116,7 +116,6 @@ class IoQueueLayer {
   uint32_t queue_count() const { return static_cast<uint32_t>(per_queue_.size()); }
   uint32_t iodepth() const { return options_.iodepth; }
   const IoQueueStats& stats() const { return stats_; }
-  const LatencyHistogram& completion_histogram() const { return completion_hist_; }
   const std::vector<PerQueueStats>& per_queue() const { return per_queue_; }
 
   // Admits `ops` on `queue` at `issue_ns` and returns the submission id. Issue times
@@ -184,7 +183,6 @@ class IoQueueLayer {
   Ftl* ftl_;
   Options options_;
   IoQueueStats stats_;
-  LatencyHistogram completion_hist_;
   std::vector<PerQueueStats> per_queue_;
 
   std::vector<PendingOp> pending_;  // In submission order.

@@ -243,7 +243,6 @@ Status LogManager::AppendRun(int head, std::span<const AppendRequest> requests,
     SegmentInfo& info = segments_[seg];
     for (size_t i = 0; i < done; ++i) {
       const PageHeader& header = requests[next + i].header;
-      info.min_seq = std::min(info.min_seq, header.seq);
       if (header.type == RecordType::kData) {
         info.min_data_seq = std::min(info.min_data_seq, header.seq);
         ++info.epoch_pages[header.epoch];
@@ -342,7 +341,6 @@ StatusOr<NandOp> LogManager::ReleaseSegment(uint64_t segment, uint64_t issue_ns)
   }
   info.state = SegmentState::kFree;
   info.epoch_pages.clear();
-  info.min_seq = ~uint64_t{0};
   info.min_data_seq = ~uint64_t{0};
   free_segments_.push_back(segment);
   return *op;
@@ -393,7 +391,6 @@ void LogManager::RebuildFromDevice() {
   for (uint64_t s = 0; s < segments_.size(); ++s) {
     SegmentInfo& info = segments_[s];
     info.epoch_pages.clear();
-    info.min_seq = ~uint64_t{0};
     info.min_data_seq = ~uint64_t{0};
     const uint64_t next = device_->NextFreePage(s);
     if (device_->IsBadSegment(s)) {
@@ -452,7 +449,6 @@ void LogManager::RebuildFromDevice() {
 void LogManager::RestoreAccounting(uint64_t segment, uint32_t epoch, uint64_t seq) {
   IOSNAP_CHECK(segment < segments_.size());
   SegmentInfo& info = segments_[segment];
-  info.min_seq = std::min(info.min_seq, seq);
   info.min_data_seq = std::min(info.min_data_seq, seq);
   ++info.epoch_pages[epoch];
 }

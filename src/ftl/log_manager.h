@@ -39,7 +39,6 @@ struct LogStats {
 struct SegmentInfo {
   SegmentState state = SegmentState::kFree;
   uint64_t use_order = 0;    // Monotonic counter stamped when the segment is opened.
-  uint64_t min_seq = ~uint64_t{0};       // Smallest record seq in the segment (age).
   uint64_t min_data_seq = ~uint64_t{0};  // Smallest *data* record seq (trim retention).
   // Data pages per epoch ever appended to this segment since its last erase — a
   // conservative superset of what is still valid. Used by the epoch-colocation policy and
@@ -115,7 +114,7 @@ class LogManager {
   // Appends one record through `head` by on-die copyback from `src_paddr` instead of a
   // host-supplied payload (NandDevice::CopybackPage; the stored bytes move verbatim).
   // `header` must be the source page's header — it is used only for segment accounting
-  // (min_seq/epoch), never re-programmed. A kDataLoss that did NOT retire the
+  // (min_data_seq/epoch), never re-programmed. A kDataLoss that did NOT retire the
   // destination segment is a scrub-detected unreadable source and propagates at once
   // (rerouting cannot fix the source). kUnavailable (transient read failure) also
   // propagates — the caller owns retry policy.
@@ -165,8 +164,8 @@ class LogManager {
 
   // Rebuilds segment states by inspecting the device: partially-programmed segments are
   // re-opened under the active head, full segments are closed, erased-empty and
-  // never-used segments are free. Epoch accounting and min_seq are rebuilt by the caller
-  // replaying headers via RestoreAccounting.
+  // never-used segments are free. Epoch accounting and min_data_seq are rebuilt by the
+  // caller replaying data headers via RestoreAccounting.
   void RebuildFromDevice();
   void RestoreAccounting(uint64_t segment, uint32_t epoch, uint64_t seq);
 

@@ -113,7 +113,7 @@ TEST(LogManagerTest, EpochAccountingPerSegment) {
   const SegmentInfo& info = log.segment_info(0);
   EXPECT_EQ(info.epoch_pages.at(3), 2u);
   EXPECT_EQ(info.epoch_pages.at(4), 1u);
-  EXPECT_EQ(info.min_seq, 10u);
+  EXPECT_EQ(info.min_data_seq, 10u);
 }
 
 TEST(LogManagerTest, ActiveHeadFreePagesAccounting) {
