@@ -3,9 +3,10 @@
 
 Each case drives iosnap_sim, iosnap_fsck and iosnap_analyze in a scratch directory
 named after the case (under the current directory) and exits 1 with a message when an
-expectation fails. Each case is defined only here: ctest runs every case, CI's test job
-uploads the analyzer cases' directories, and CI's fault-campaign job runs the fault,
-parity and fsck cases again on its sanitizer build.
+expectation fails. Each case is defined only here: ctest runs every case, on CI's
+default and ASan/UBSan builds alike; CI's test job uploads the analyzer cases'
+directories, and its sanitize job uploads the fault, parity and fsck cases' directories
+when it fails.
 
   tool_smokes.py CASE --sim PATH --fsck PATH --analyze PATH
 
